@@ -12,7 +12,6 @@
 #include "core/city_semantic_diagram.h"
 #include "core/semantic_recognition.h"
 #include "index/grid_index.h"
-#include "index/kd_tree.h"
 #include "seqmine/prefix_span.h"
 #include "synth/city_generator.h"
 #include "synth/trip_generator.h"
@@ -66,19 +65,6 @@ void BM_GridIndexRadiusQuery(benchmark::State& state) {
   ReportAllocs(state, a0);
 }
 BENCHMARK(BM_GridIndexRadiusQuery);
-
-void BM_KdTreeNearest(benchmark::State& state) {
-  auto pts = RandomPoints(100000, 10000.0, 4);
-  KdTree tree(pts);
-  Rng rng(5);
-  uint64_t a0 = bench::AllocationCount();
-  for (auto _ : state) {
-    Vec2 q{rng.Uniform(0, 10000), rng.Uniform(0, 10000)};
-    benchmark::DoNotOptimize(tree.Nearest(q));
-  }
-  ReportAllocs(state, a0);
-}
-BENCHMARK(BM_KdTreeNearest);
 
 void BM_Dbscan(benchmark::State& state) {
   auto pts = RandomPoints(static_cast<size_t>(state.range(0)), 5000.0, 6);

@@ -4,9 +4,12 @@
 //   serve_load --qps 2000 [--duration-s 5]             open loop
 //   serve_load --net [--connections 8] [--inflight 32] net loopback only
 //   serve_load --connect HOST:PORT                     net vs external server
-//   serve_load --emit-requests 1000                    print protocol lines
+//   serve_load --connect HOST:PORT --mixed 1000        mixed request stream
 //   serve_load --shards 4 [--megacity]                 sharded build + serve
 //   serve_load --help                                  full flag reference
+//
+// The default phase serves from a one-shard (K=1) store: the monolithic
+// deployment, on the same geo-routed path every --shards K run takes.
 //
 // Closed loop: `clients` threads each issue `requests` annotation requests
 // back to back (issue, wait, repeat) — the classic latency-under-
@@ -35,9 +38,10 @@
 // throughput as a higher-is-better "rates" entry, so tools/bench_diff
 // gates both directions.
 //
-// --emit-requests N prints N deterministic protocol request lines (mixed
-// annotate/journey/query-unit/stats with one mid-stream rebuild) to stdout
-// and exits; CI pipes them into `csdctl serve` for the end-to-end smoke.
+// --connect HOST:PORT --mixed N sends N deterministic frames (mixed
+// annotate/journey/query-unit/stats with one rebuild at N/2) to an
+// external server and prints the ok/err tally with the error codes; CI's
+// serve-smoke asserts on it.
 //
 // --shards K runs the sharded phase instead: the city's CSD snapshot is
 // built once monolithically and once through shard::ShardedCsdBuild over a
@@ -60,11 +64,13 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -85,6 +91,7 @@
 #include "synth/trip_generator.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 
 namespace csd::bench {
 namespace {
@@ -94,7 +101,7 @@ struct LoadConfig {
   size_t requests = 500;   // per client (closed loop)
   double qps = 0.0;        // > 0 switches to open loop
   double duration_s = 5.0; // open-loop run length
-  size_t emit_requests = 0;
+  size_t mixed = 0;        // with --connect: mixed request stream
   std::string json_path;
   // Net modes (framed binary protocol over TCP).
   bool net = false;            // loopback net phase only
@@ -116,9 +123,10 @@ struct LoadConfig {
 constexpr char kUsage[] =
     "usage: serve_load [flags]\n"
     "\n"
-    "Load generator for the CSD serving layer. Default run: in-process\n"
-    "closed loop + loopback net phase, results appended to\n"
-    "BENCH_serve.json (override: CSD_BENCH_JSON or --json).\n"
+    "Load generator for the CSD serving layer. Default run: a one-shard\n"
+    "(K=1) store driven by an in-process closed loop + loopback net\n"
+    "phase, results appended to BENCH_serve.json (override:\n"
+    "CSD_BENCH_JSON or --json).\n"
     "\n"
     "  --clients N        closed-loop client threads (default 4)\n"
     "  --requests M       requests per closed-loop client (default 500)\n"
@@ -148,7 +156,9 @@ constexpr char kUsage[] =
     "                     Per-phase rates land in the trajectory under the\n"
     "                     'scenario:NAME' run label\n"
     "  --list-scenarios   print the registered packs and exit\n"
-    "  --emit-requests N  print N protocol lines for csdctl serve; exit\n"
+    "  --mixed N          with --connect: N mixed annotate/journey/\n"
+    "                     query-unit/stats frames plus one rebuild at N/2;\n"
+    "                     prints the ok/err tally and error codes\n"
     "  --json PATH        trajectory output path\n"
     "  --help             this text\n"
     "\n"
@@ -166,41 +176,6 @@ std::vector<StayPoint> MakeRequest(Rng& rng, const CityConfig& city) {
                        static_cast<Timestamp>(rng.UniformInt(0, 86399)));
   }
   return stays;
-}
-
-int EmitRequests(size_t count, const CityConfig& city) {
-  Rng rng(99);
-  for (size_t i = 0; i < count; ++i) {
-    if (i == count / 2) std::printf("rebuild\n");
-    if (i % 64 == 63) {
-      std::printf("stats\n");
-      continue;
-    }
-    if (i % 17 == 5) {
-      std::printf("query-unit %lld\n",
-                  static_cast<long long>(rng.UniformInt(0, 400)));
-      continue;
-    }
-    if (i % 11 == 3) {
-      std::printf("journey %.1f,%.1f,%lld;%.1f,%.1f,%lld\n",
-                  rng.Uniform(0.0, city.width_m),
-                  rng.Uniform(0.0, city.height_m),
-                  static_cast<long long>(rng.UniformInt(0, 86399)),
-                  rng.Uniform(0.0, city.width_m),
-                  rng.Uniform(0.0, city.height_m),
-                  static_cast<long long>(rng.UniformInt(0, 86399)));
-      continue;
-    }
-    std::vector<StayPoint> stays = MakeRequest(rng, city);
-    std::printf("annotate ");
-    for (size_t s = 0; s < stays.size(); ++s) {
-      std::printf("%s%.1f,%.1f", s == 0 ? "" : ";", stays[s].position.x,
-                  stays[s].position.y);
-    }
-    std::printf("\n");
-  }
-  std::printf("quit\n");
-  return 0;
 }
 
 struct LoadOutcome {
@@ -967,6 +942,96 @@ void RunStreamPhase(const LoadConfig& config,
   runs->push_back(std::move(run));
 }
 
+/// The mixed request stream (--connect + --mixed N): N deterministic
+/// frames — annotate, journey, query-unit and stats in a fixed mix — plus
+/// one rebuild at N/2, pipelined over one connection in windows of
+/// `inflight`. Every frame must be answered; the ok/err tally and the
+/// error codes are printed for CI's serve-smoke to assert on, and a
+/// transport failure (a frame never answered) is the only nonzero exit.
+int RunNetMixed(const std::string& host, uint16_t port,
+                const CityConfig& city, const LoadConfig& config) {
+  std::vector<std::vector<uint8_t>> frames;
+  Rng rng(99);
+  auto next_id = [&frames] { return static_cast<uint32_t>(frames.size()); };
+  for (size_t i = 0; i < config.mixed; ++i) {
+    if (i == config.mixed / 2) {
+      std::vector<uint8_t> rebuild;
+      serve::AppendRebuildRequest(next_id(), &rebuild);
+      frames.push_back(std::move(rebuild));
+    }
+    std::vector<uint8_t> frame;
+    if (i % 64 == 63) {
+      serve::AppendStatsRequest(next_id(), &frame);
+    } else if (i % 17 == 5) {
+      serve::AppendQueryUnitRequest(
+          next_id(), static_cast<uint32_t>(rng.UniformInt(0, 400)), &frame);
+    } else if (i % 11 == 3) {
+      StayPoint pickup(Vec2{rng.Uniform(0.0, city.width_m),
+                            rng.Uniform(0.0, city.height_m)},
+                       static_cast<Timestamp>(rng.UniformInt(0, 86399)));
+      StayPoint dropoff(Vec2{rng.Uniform(0.0, city.width_m),
+                             rng.Uniform(0.0, city.height_m)},
+                        static_cast<Timestamp>(rng.UniformInt(0, 86399)));
+      serve::AppendJourneyRequest(next_id(), 0, pickup, dropoff, &frame);
+    } else {
+      serve::AppendAnnotateRequest(next_id(), 0, MakeRequest(rng, city),
+                                   &frame);
+    }
+    frames.push_back(std::move(frame));
+  }
+
+  auto client_or = serve::NetClient::Connect(host, port);
+  if (!client_or.ok()) {
+    std::fprintf(stderr, "connect: %s\n",
+                 client_or.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<serve::NetClient> client = std::move(client_or).value();
+  std::printf("== serve_load (mixed, %s) ==\n", config.connect.c_str());
+
+  uint64_t ok = 0;
+  uint64_t err = 0;
+  std::map<std::string, uint64_t> err_codes;
+  size_t sent = 0;
+  size_t answered = 0;
+  Stopwatch wall;
+  std::vector<uint8_t> buf;
+  while (answered < frames.size()) {
+    buf.clear();
+    while (sent < frames.size() && sent - answered < config.inflight) {
+      buf.insert(buf.end(), frames[sent].begin(), frames[sent].end());
+      ++sent;
+    }
+    if (!buf.empty() && !client->Send(buf).ok()) break;
+    auto response_or = client->ReadResponse();
+    if (!response_or.ok()) {
+      std::fprintf(stderr, "read: %s\n",
+                   response_or.status().ToString().c_str());
+      break;
+    }
+    ++answered;
+    const serve::NetResponse& response = response_or.value();
+    if (response.type == serve::FrameType::kErrorResp) {
+      ++err;
+      ++err_codes[StatusCodeToString(response.code)];
+      std::fprintf(stderr, "request %u: %s\n", response.request_id,
+                   response.message.c_str());
+    } else {
+      ++ok;
+    }
+  }
+  std::printf("mixed: %zu frames, %llu ok, %llu err in %.2fs\n",
+              frames.size(), static_cast<unsigned long long>(ok),
+              static_cast<unsigned long long>(err), wall.ElapsedSeconds());
+  std::string codes;
+  for (const auto& [code, n] : err_codes) {
+    codes += StrFormat(" %s=%llu", code.c_str(),
+                       static_cast<unsigned long long>(n));
+  }
+  std::printf("err codes:%s\n", codes.empty() ? " none" : codes.c_str());
+  return answered == frames.size() ? 0 : 1;
+}
+
 /// The net ingest client (--connect + --ingest-fixes): streams a replayed
 /// trace as INGEST_FIX frames against an external `csdctl serve --listen
 /// --stream`, which is what CI's stream-smoke drives. Frames carry runs
@@ -1261,7 +1326,8 @@ void DriveScenarioPhases(const scenario::ScenarioPack& pack,
 /// streaming ingestor, loopback NetServer); with --connect an external
 /// `csdctl serve --listen --stream --scenario NAME` owns the dataset and
 /// the chaos timeline and this process only paces traffic.
-int RunScenario(const LoadConfig& config) {
+int RunScenario(const LoadConfig& config, const std::string& host,
+                uint16_t port) {
   auto pack_or = scenario::GetScenario(config.scenario);
   if (!pack_or.ok()) {
     std::fprintf(stderr, "%s\n", pack_or.status().ToString().c_str());
@@ -1314,15 +1380,6 @@ int RunScenario(const LoadConfig& config) {
   if (!config.connect.empty()) {
     // External server: it owns the dataset and (when started with
     // --scenario) the chaos timeline; this process only paces traffic.
-    size_t colon = config.connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 == config.connect.size()) {
-      std::fprintf(stderr, "--connect expects HOST:PORT, got '%s'\n",
-                   config.connect.c_str());
-      return 2;
-    }
-    std::string host = config.connect.substr(0, colon);
-    uint16_t port = static_cast<uint16_t>(
-        std::atoi(config.connect.c_str() + colon + 1));
     if (!pack.chaos.empty()) {
       std::fprintf(stderr,
                    "note: chaos windows are armed by the server "
@@ -1456,8 +1513,8 @@ int Main(int argc, char** argv) {
       config.qps = std::atof(v);
     } else if (const char* v = value("--duration-s")) {
       config.duration_s = std::atof(v);
-    } else if (const char* v = value("--emit-requests")) {
-      config.emit_requests = static_cast<size_t>(std::atoll(v));
+    } else if (const char* v = value("--mixed")) {
+      config.mixed = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--json")) {
       config.json_path = v;
     } else if (std::strcmp(argv[i], "--net") == 0) {
@@ -1496,34 +1553,37 @@ int Main(int argc, char** argv) {
     std::printf("%s", scenario::ListScenariosText().c_str());
     return 0;
   }
+  std::string host;
+  uint16_t port = 0;
+  if (!config.connect.empty()) {
+    auto addr_or = serve::ParseHostPort("--connect", config.connect);
+    if (!addr_or.ok()) {
+      std::fprintf(stderr, "%s\n", addr_or.status().ToString().c_str());
+      return 2;
+    }
+    std::tie(host, port) = std::move(addr_or).value();
+  } else if (config.mixed > 0) {
+    std::fprintf(stderr, "--mixed needs --connect HOST:PORT\n");
+    return 2;
+  }
   // --scenario runs a named pack's full phased timeline; with --connect
   // it paces an external `csdctl serve --scenario` server instead of
   // hosting the pack in-process.
   if (!config.scenario.empty()) {
-    return RunScenario(config);
+    return RunScenario(config, host, port);
   }
 
   CityConfig city_config;
   city_config.num_pois = EnvSize("CSD_BENCH_POIS", 15000);
 
-  if (config.emit_requests > 0) {
-    return EmitRequests(config.emit_requests, city_config);
-  }
-
   // --connect drives a server someone else started (CI's serve-smoke
   // against `csdctl serve --listen`): no local dataset or service.
   if (!config.connect.empty()) {
-    size_t colon = config.connect.rfind(':');
-    if (colon == std::string::npos || colon + 1 == config.connect.size()) {
-      std::fprintf(stderr, "--connect expects HOST:PORT, got '%s'\n",
-                   config.connect.c_str());
-      return 2;
-    }
-    std::string host = config.connect.substr(0, colon);
-    uint16_t port = static_cast<uint16_t>(
-        std::atoi(config.connect.c_str() + colon + 1));
     if (config.ingest_fixes > 0) {
       return RunNetIngest(host, port, config);
+    }
+    if (config.mixed > 0) {
+      return RunNetMixed(host, port, city_config, config);
     }
     std::printf("== serve_load (net, %s) ==\n", config.connect.c_str());
     LoadOutcome outcome =
@@ -1549,8 +1609,8 @@ int Main(int argc, char** argv) {
   }
 
   // --stream is its own phase: it builds a sharded bootstrap and drives
-  // the streaming layer directly, so the default monolithic service below
-  // never spins up.
+  // the streaming layer directly, so the default K=1 service below never
+  // spins up.
   if (config.stream) {
     std::vector<PipelineBenchRun> runs;
     uint64_t total_failures = 0;
@@ -1570,7 +1630,7 @@ int Main(int argc, char** argv) {
   trip_config.num_agents = EnvSize("CSD_BENCH_AGENTS", 2000);
   trip_config.num_days = static_cast<int>(EnvSize("CSD_BENCH_DAYS", 7));
 
-  std::printf("== serve_load ==\n");
+  std::printf("== serve_load (K=1) ==\n");
   Stopwatch setup_watch;
   SyntheticCity city = GenerateCity(city_config);
   TripDataset trips = GenerateTrips(city, trip_config);
@@ -1583,18 +1643,23 @@ int Main(int argc, char** argv) {
       60 * kSecondsPerMinute;
   snapshot_options.miner.extraction.density_threshold = 0.002;
 
+  // One shard lane: the monolithic deployment (the snapshot build runs
+  // the monolithic stage pass at K=1).
   Stopwatch build_watch;
+  shard::ShardPlan plan =
+      shard::PlanForCity(dataset->pois, 1, snapshot_options.miner.csd);
   auto initial =
-      std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options);
+      std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options, plan);
   double snapshot_build_seconds = build_watch.ElapsedSeconds();
-  serve::SnapshotStore store(initial);
+  serve::ShardedSnapshotStore store(plan.num_shards());
+  store.PublishAll(initial);
 
   serve::ServeOptions options;
   options.snapshot = snapshot_options;
   // The net phase keeps hundreds of frames in flight, so let batches
   // grow to match; the future-based loops never reach this ceiling.
   options.batch.max_batch = 256;
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, plan, options);
   std::printf("setup: %zu POIs, %zu journeys, snapshot v1 (%zu units, %zu "
               "patterns) in %.2fs\n",
               city.pois.size(), trips.journeys.size(),

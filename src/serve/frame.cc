@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "core/semantic_unit.h"
+#include "util/failpoint.h"
 #include "util/strings.h"
 
 namespace csd::serve {
@@ -160,6 +161,7 @@ DecodeStatus DecodeFrame(std::span<const uint8_t> buffer, DecodedFrame* out,
 }
 
 Result<NetRequest> ParseRequestFrame(const DecodedFrame& frame) {
+  CSD_FAILPOINT("serve/parse");
   NetRequest request;
   request.type = static_cast<FrameType>(frame.header.type);
   request.request_id = frame.header.request_id;

@@ -14,9 +14,8 @@
 namespace csd::serve {
 
 /// The length-prefixed binary framing `csdctl serve --listen` speaks —
-/// the wire twin of the stdin line grammar in serve/protocol.h. Every
-/// frame is a fixed 16-byte little-endian header followed by
-/// `payload_len` payload bytes:
+/// the serving layer's one wire protocol. Every frame is a fixed 16-byte
+/// little-endian header followed by `payload_len` payload bytes:
 ///
 ///   offset  size  field
 ///        0     4  payload_len   (bytes after the header, < 1 MiB)
@@ -28,9 +27,9 @@ namespace csd::serve {
 ///
 /// request_id lets a client pipeline many frames per connection and
 /// match responses out of order — the server answers annotations as
-/// their batches complete, not in arrival order. deadline_ms carries
-/// the `@MS` deadline of the line protocol in the header so the server
-/// can stamp the deadline before touching the payload.
+/// their batches complete, not in arrival order. deadline_ms rides in
+/// the header so the server can stamp the deadline before touching the
+/// payload.
 ///
 /// Request payloads (all integers little-endian, floats IEEE binary64):
 ///   kAnnotateReq   u32 count, then count × (f64 x, f64 y, i64 time)
@@ -43,8 +42,8 @@ namespace csd::serve {
 /// Response payloads:
 ///   kAnnotateResp  u64 snapshot_version, u32 count,
 ///                  then count × (u32 unit, u32 semantic_bits)
-///   kTextResp      UTF-8 text (query/rebuild/stats reuse the line
-///                  protocol's `ok ...` formatters)
+///   kTextResp      UTF-8 text (`ok ...`; the query/rebuild/stats
+///                  formatters in serve/net_server.h)
 ///   kErrorResp     u16 status_code, UTF-8 message
 ///
 /// Decoding is defensive end to end: a violated bound (oversized

@@ -8,9 +8,34 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+
 #include "util/strings.h"
 
 namespace csd::serve {
+
+Result<std::pair<std::string, uint16_t>> ParseHostPort(
+    const char* flag, const std::string& spec) {
+  size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
+    return Status::InvalidArgument(
+        StrFormat("%s expects HOST:PORT, got '%s'", flag, spec.c_str()));
+  }
+  std::string port_str = spec.substr(colon + 1);
+  for (char c : port_str) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument(StrFormat(
+          "%s port '%s' is not a number", flag, port_str.c_str()));
+    }
+  }
+  // The length guard keeps strtoul clear of overflow on absurd inputs.
+  unsigned long port = std::strtoul(port_str.c_str(), nullptr, 10);
+  if (port_str.size() > 5 || port > 65535) {
+    return Status::InvalidArgument(StrFormat(
+        "%s port '%s' is out of range (0-65535)", flag, port_str.c_str()));
+  }
+  return std::make_pair(spec.substr(0, colon), static_cast<uint16_t>(port));
+}
 
 Result<std::unique_ptr<NetClient>> NetClient::Connect(const std::string& host,
                                                       uint16_t port) {

@@ -4,12 +4,19 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/frame.h"
 #include "util/status.h"
 
 namespace csd::serve {
+
+/// Splits a `HOST:PORT` flag value (port 0-65535, digits only). The
+/// InvalidArgument status names `flag` and the offending token, so a
+/// bad `--connect host:70000` never silently dials a wrapped port.
+Result<std::pair<std::string, uint16_t>> ParseHostPort(
+    const char* flag, const std::string& spec);
 
 /// Minimal blocking client for the framed protocol — the consumer side
 /// used by bench/serve_load, the loopback tests and CI's serve-smoke.

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <deque>
 #include <thread>
 #include <unordered_map>
@@ -20,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/frame.h"
-#include "serve/protocol.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -122,6 +122,38 @@ Status SetNonBlocking(int fd) {
 
 }  // namespace
 
+std::string FormatQueryResponse(const PatternQueryResult& result) {
+  std::string out =
+      StrFormat("ok query v=%" PRIu64 " unit=%u patterns=",
+                result.snapshot_version, result.unit);
+  for (size_t i = 0; i < result.pattern_ids.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(result.pattern_ids[i]);
+  }
+  return out;
+}
+
+std::string FormatRebuildResponse(const RebuildResult& result) {
+  return StrFormat("ok rebuild v=%" PRIu64
+                   " units=%zu patterns=%zu seconds=%.3f",
+                   result.version, result.num_units, result.num_patterns,
+                   result.seconds);
+}
+
+std::string FormatStatsResponse(const ServeService& service) {
+  const AdmissionController& admission = service.admission();
+  std::string out = StrFormat(
+      "ok stats version=%" PRIu64 " live_snapshots=%" PRIu64 " depth=%zu",
+      service.store().current_version(), CsdSnapshot::LiveCount(),
+      service.QueueDepth());
+  for (RequestClass c : {RequestClass::kAnnotate, RequestClass::kQuery,
+                         RequestClass::kRebuild}) {
+    out += StrFormat(" %s=%" PRIu64 "/%" PRIu64, RequestClassName(c),
+                     admission.Admitted(c), admission.Rejected(c));
+  }
+  return out;
+}
+
 /// One accepted connection, owned by exactly one EventLoop. All fields
 /// are touched only on the loop thread; completion callbacks never
 /// write here — they post encoded bytes to the loop, which appends and
@@ -151,6 +183,16 @@ class EventLoop {
       : server_(server),
         shard_(AdmissionLimits{
             .annotate = shard_budget, .query = 1, .rebuild = 1}) {}
+
+  /// The wake fd outlives the loop thread: RequestStop and Post may
+  /// still be writing to it while Run() winds down, so it closes only
+  /// here, after Join().
+  ~EventLoop() {
+    Join();
+    if (event_fd_ >= 0) close(event_fd_);
+  }
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   Status Start(int listen_fd) {
     epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -192,15 +234,13 @@ class EventLoop {
 
   /// Queues encoded response bytes for `conn` and wakes the loop. Safe
   /// from any thread; a post after the loop exited is dropped (the
-  /// connection is gone with it).
+  /// connection is gone with it). The wakeup is written under the lock,
+  /// so none can land after ShutdownLoop has closed posting.
   void Post(std::shared_ptr<Conn> conn, std::vector<uint8_t> bytes) {
-    {
-      std::lock_guard<std::mutex> lock(post_mutex_);
-      if (!open_) return;
-      posts_.push_back({std::move(conn), std::move(bytes)});
-      if (posts_.size() > 1) return;  // a wakeup is already pending
-    }
-    Wake();
+    std::lock_guard<std::mutex> lock(post_mutex_);
+    if (!open_) return;
+    posts_.push_back({std::move(conn), std::move(bytes)});
+    if (posts_.size() == 1) Wake();  // else a wakeup is already pending
   }
 
  private:
@@ -619,7 +659,6 @@ class EventLoop {
     for (auto& [ptr, conn] : conns_) open_conns.push_back(conn);
     for (auto& conn : open_conns) CloseConn(conn.get());
     if (epoll_fd_ >= 0) close(epoll_fd_);
-    if (event_fd_ >= 0) close(event_fd_);
   }
 
   NetServer* server_;

@@ -46,6 +46,12 @@ struct NetServerOptions {
       ingest_handler;
 };
 
+/// Text bodies of the kTextResp frames: `ok <verb> key=value...`, machine
+/// parsable and one line each.
+std::string FormatQueryResponse(const PatternQueryResult& result);
+std::string FormatRebuildResponse(const RebuildResult& result);
+std::string FormatStatsResponse(const ServeService& service);
+
 /// The epoll front end of `csdctl serve --listen`: non-blocking sockets
 /// speaking the length-prefixed framing of serve/frame.h, decoding
 /// straight into AnnotateRequests on the owning ServeService.
@@ -74,7 +80,10 @@ struct NetServerOptions {
 /// executor exactly as for in-process callers. The `serve/net_read`
 /// failpoint sits on the read path: an injected error counts
 /// csd_net_read_faults_total and closes that connection (a transient
-/// transport fault), latency-only specs just delay the read burst.
+/// transport fault), latency-only specs just delay the read burst. The
+/// `serve/parse` failpoint sits in ParseRequestFrame: an injected error
+/// answers that one frame with an error frame carrying its request_id,
+/// and the connection keeps serving.
 ///
 /// Shutdown contract: call Shutdown() (or destroy the server) *before*
 /// ServeService::Shutdown(). It stops accepting, closes every

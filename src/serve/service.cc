@@ -8,6 +8,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/check.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
@@ -91,44 +92,31 @@ void FailRequest(AnnotateRequest& request, Status status) {
 
 }  // namespace
 
-ServeService::ServeService(SnapshotStore* store, ServeOptions options)
-    : store_(store), options_(options), admission_(options.limits) {
-  StartRebuildLanes(1);
-  batcher_ = std::make_unique<RequestBatcher>(
-      options_.batch,
-      [this](std::vector<AnnotateRequest> batch) {
-        ExecuteBatch(std::move(batch));
-      },
-      options_.start_paused);
-}
-
 ServeService::ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
                            ServeOptions options)
-    : store_(&store->global()),
-      sharded_store_(store),
-      plan_(std::make_unique<shard::ShardPlan>(std::move(plan))),
+    : store_(store),
+      plan_(std::move(plan)),
       options_(options),
       admission_(options.limits) {
+  CSD_CHECK_MSG(store_->num_shards() == plan_.num_shards(),
+                "store lanes and shard plan disagree");
   // One global lane + one rebuild lane per shard: a tile rebuild on lane
   // 1+s can run while another shard's lane (and the batch pool) keep
   // serving.
-  StartRebuildLanes(1 + plan_->num_shards());
-  batcher_ = std::make_unique<RequestBatcher>(
-      options_.batch,
-      [this](std::vector<AnnotateRequest> batch) {
-        ExecuteBatch(std::move(batch));
-      },
-      options_.start_paused);
-}
-
-void ServeService::StartRebuildLanes(size_t count) {
-  rebuild_lanes_.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
+  const size_t num_lanes = 1 + plan_.num_shards();
+  rebuild_lanes_.reserve(num_lanes);
+  for (size_t i = 0; i < num_lanes; ++i) {
     auto lane = std::make_unique<RebuildLane>();
     RebuildLane* raw = lane.get();
     lane->thread = std::thread([this, raw] { RebuildMain(raw); });
     rebuild_lanes_.push_back(std::move(lane));
   }
+  batcher_ = std::make_unique<RequestBatcher>(
+      options_.batch,
+      [this](std::vector<AnnotateRequest> batch) {
+        ExecuteBatch(std::move(batch));
+      },
+      options_.start_paused);
 }
 
 ServeService::~ServeService() { Shutdown(); }
@@ -257,11 +245,7 @@ Result<std::future<RebuildResult>> ServeService::TriggerRebuild(
 
 Result<std::future<RebuildResult>> ServeService::TriggerShardRebuild(
     size_t shard, std::shared_ptr<const ServeDataset> data) {
-  if (sharded_store_ == nullptr) {
-    return Status::FailedPrecondition(
-        "shard rebuilds need a service over a ShardedSnapshotStore");
-  }
-  if (shard >= plan_->num_shards()) {
+  if (shard >= plan_.num_shards()) {
     return Status::InvalidArgument("shard index out of range");
   }
   RebuildJob job;
@@ -339,81 +323,15 @@ void ServeService::ExecuteBatch(std::vector<AnnotateRequest> batch) {
     if (batch.empty()) return;
   }
 
-  if (sharded_store_ != nullptr) {
-    ExecuteBatchSharded(std::move(batch));
-    return;
-  }
-
-  // One snapshot acquisition amortized over the whole batch; every request
-  // in it is served by this one consistent generation.
-  std::shared_ptr<const CsdSnapshot> snapshot = store_->Acquire();
-  const BatchCsdAnnotator& annotator = snapshot->annotator();
-  const PoiDatabase& pois = snapshot->data().pois;
-
-  std::vector<AnnotateResult> results(batch.size());
-  size_t total_stays = 0;
-  for (const AnnotateRequest& request : batch) {
-    total_stays += request.stays.size();
-  }
-
-  // Flatten to (request, index) slots and sort by packed grid-cell key so
-  // neighboring stays — which vote over overlapping candidate sets — run
-  // adjacently and share the grid index's cache lines. The sort only
-  // changes execution order; each slot writes its fixed output position,
-  // and the voting kernel is a strict per-stay argmax, so results are
-  // byte-identical to unbatched annotation at any thread count.
-  struct Slot {
-    uint32_t request;
-    uint32_t index;
-    uint64_t cell_key;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(total_stays);
-  for (size_t r = 0; r < batch.size(); ++r) {
-    results[r].snapshot_version = snapshot->version();
-    results[r].stays = std::move(batch[r].stays);
-    results[r].units.assign(results[r].stays.size(), kNoUnit);
-    for (size_t i = 0; i < results[r].stays.size(); ++i) {
-      slots.push_back({static_cast<uint32_t>(r), static_cast<uint32_t>(i),
-                       pois.SpatialKeyOf(results[r].stays[i].position)});
-    }
-  }
-  std::sort(slots.begin(), slots.end(),
-            [](const Slot& a, const Slot& b) { return a.cell_key < b.cell_key; });
-
-  ParallelFor(
-      slots.size(),
-      [&](size_t k) {
-        const Slot& slot = slots[k];
-        StayPoint& stay = results[slot.request].stays[slot.index];
-        UnitId unit = kNoUnit;
-        // The SIMD/SoA voting kernel — byte-identical to the scalar
-        // recognizer() oracle (see core/batch_annotator.h).
-        stay.semantic = annotator.Annotate(stay.position, &unit);
-        results[slot.request].units[slot.index] = unit;
-      },
-      {.grain = 32});
-
-  auto now = std::chrono::steady_clock::now();
-  for (size_t r = 0; r < batch.size(); ++r) {
-    AnnotateLatencyHistogram().Observe(
-        std::chrono::duration<double>(now - batch[r].enqueue_time).count());
-    CompleteRequest(batch[r], std::move(results[r]));
-  }
-  BatchSizeHistogram().Observe(static_cast<double>(batch.size()));
-  BatchesCounter().Increment();
-}
-
-void ServeService::ExecuteBatchSharded(std::vector<AnnotateRequest> batch) {
   CSD_TRACE_SPAN("serve/annotate_batch_sharded");
-  const size_t num_shards = plan_->num_shards();
+  const size_t num_shards = plan_.num_shards();
 
   // Each lane's generation is acquired at most once per batch, lazily:
   // a batch that never touches shard s doesn't pin (or wait on) it.
   std::vector<std::shared_ptr<const CsdSnapshot>> lane_snaps(num_shards);
   auto lane_snapshot = [&](size_t s) -> const CsdSnapshot* {
     if (lane_snaps[s] == nullptr) {
-      lane_snaps[s] = sharded_store_->AcquireShard(s);
+      lane_snaps[s] = store_->AcquireShard(s);
       // Lanes are seeded by the bootstrap PublishAll (admission requires
       // it), but a still-empty lane degrades to the global generation.
       if (lane_snaps[s] == nullptr) lane_snaps[s] = store_->Acquire();
@@ -428,12 +346,16 @@ void ServeService::ExecuteBatchSharded(std::vector<AnnotateRequest> batch) {
   }
 
   // Geo-routing: every stay is owned by exactly one tile
-  // (plan_->ShardOf), and a request whose stays straddle tiles simply
+  // (plan_.ShardOf), and a request whose stays straddle tiles simply
   // fans out — each stay votes against its owning lane's snapshot, and
   // all slots write fixed output positions, so results come back in
   // request order no matter how the batch was split. Slots sort by
   // (shard, cell key): shard-major keeps each lane's annotator (and its
-  // halo slice of the grid) hot, cell order keeps neighbors adjacent.
+  // halo slice of the grid) hot, cell order keeps neighbors — which vote
+  // over overlapping candidate sets — adjacent. The sort only changes
+  // execution order, and the voting kernel is a strict per-stay argmax,
+  // so results are byte-identical to unbatched annotation at any thread
+  // count.
   struct Slot {
     uint32_t request;
     uint32_t index;
@@ -449,7 +371,7 @@ void ServeService::ExecuteBatchSharded(std::vector<AnnotateRequest> batch) {
     results[r].units.assign(results[r].stays.size(), kNoUnit);
     for (size_t i = 0; i < results[r].stays.size(); ++i) {
       const Vec2& position = results[r].stays[i].position;
-      size_t shard = plan_->ShardOf(position);
+      size_t shard = plan_.ShardOf(position);
       const CsdSnapshot* lane = lane_snapshot(shard);
       // The request's version is the oldest generation it consulted —
       // the freshness floor a straddling request can rely on.
@@ -464,16 +386,14 @@ void ServeService::ExecuteBatchSharded(std::vector<AnnotateRequest> batch) {
     return a.shard != b.shard ? a.shard < b.shard : a.cell_key < b.cell_key;
   });
 
-  // Resolve each consulted lane's annotator once: the tile's subset
-  // annotator when the lane serves a plan-mode (full-city) snapshot,
-  // the snapshot's own city/tile-wide annotator otherwise (a tile-local
-  // rebuild's annotator already covers exactly that shard's halo).
+  // Resolve each consulted lane's annotator once (the SIMD/SoA voting
+  // kernel, byte-identical to the scalar recognizer() oracle; see
+  // CsdSnapshot::annotator_for_shard for which edition a lane uses).
   std::vector<const BatchCsdAnnotator*> annotators(num_shards, nullptr);
   for (size_t s = 0; s < num_shards; ++s) {
-    if (lane_snaps[s] == nullptr) continue;
-    annotators[s] = lane_snaps[s]->plan() != nullptr
-                        ? &lane_snaps[s]->annotator_for_shard(s)
-                        : &lane_snaps[s]->annotator();
+    if (lane_snaps[s] != nullptr) {
+      annotators[s] = &lane_snaps[s]->annotator_for_shard(s);
+    }
   }
 
   ParallelFor(
@@ -542,23 +462,18 @@ void ServeService::RunRebuildJob(RebuildJob job) {
         if (tile_builder_) snapshot = tile_builder_(shard, data);
         if (snapshot == nullptr) {
           snapshot = std::make_shared<CsdSnapshot>(
-              MakeShardDataset(*data, *plan_, shard), options_.snapshot);
+              MakeShardDataset(*data, plan_, shard), options_.snapshot);
         }
-        result.version = sharded_store_->PublishShard(shard, snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
-      } else if (sharded_store_ != nullptr) {
-        // Full rebuild in sharded mode: a plan-mode snapshot (tiled
-        // diagram build, per-shard annotators) published to every lane.
-        auto snapshot = std::make_shared<CsdSnapshot>(
-            std::move(data), options_.snapshot, *plan_);
-        result.version = sharded_store_->PublishAll(snapshot);
+        result.version = store_->PublishShard(shard, snapshot);
         result.num_units = snapshot->diagram().units().size();
         result.num_patterns = snapshot->patterns().size();
       } else {
-        auto snapshot = std::make_shared<CsdSnapshot>(std::move(data),
-                                                      options_.snapshot);
-        result.version = store_->Publish(snapshot);
+        // Full rebuild: a plan-mode snapshot (tiled diagram build and
+        // per-shard annotators; the monolithic pass at K=1) published to
+        // every lane.
+        auto snapshot = std::make_shared<CsdSnapshot>(
+            std::move(data), options_.snapshot, plan_);
+        result.version = store_->PublishAll(snapshot);
         result.num_units = snapshot->diagram().units().size();
         result.num_patterns = snapshot->patterns().size();
       }

@@ -30,34 +30,34 @@ struct ServeOptions {
   bool start_paused = false;
 };
 
-/// The online request path over a SnapshotStore: admission control at the
-/// front door, request coalescing in the middle, the CSD voting kernel at
-/// the bottom, and a background rebuild lane that publishes new
+/// The online request path over a ShardedSnapshotStore: admission control
+/// at the front door, request coalescing in the middle, the CSD voting
+/// kernel at the bottom, and background rebuild lanes that publish new
 /// generations without stalling readers.
 ///
-///   client ──Admit──> RequestBatcher ──batch──> pool ──> promises
-///                │                        │
-///                └─rebuild lane──> CsdSnapshot build ──> Publish (RCU)
+///   client ──Admit──> RequestBatcher ──batch──> geo-route ──> pool
+///                │                                              │
+///                └─rebuild lanes──> CsdSnapshot build      promises
+///                                     ──> PublishAll / PublishShard (RCU)
+///
+/// Annotation batches are geo-routed by the shard plan: each stay is
+/// annotated against the snapshot of the lane owning its position, a
+/// request straddling tiles fans out to every lane it touches, and results
+/// land in request order either way. A 1×1 plan over a one-shard store is
+/// the monolithic deployment — the same path with one lane.
 ///
 /// Endpoints return Status::Unavailable immediately under overload
 /// (bounded queues, no unbounded buffering); everything admitted is
 /// guaranteed to complete, including across Shutdown().
 class ServeService {
  public:
-  /// `store` must outlive the service. Annotation and queries require a
-  /// published generation; TriggerRebuild with an explicit dataset works
-  /// on an empty store (bootstrap).
-  explicit ServeService(SnapshotStore* store, ServeOptions options = {});
-
-  /// Sharded mode over a ShardedSnapshotStore: annotation batches are
-  /// geo-routed by `plan` — each stay is annotated against the snapshot
-  /// of the lane owning its position, a request straddling tiles fans out
-  /// to every lane it touches, and results land in request order either
-  /// way. Full rebuilds go through the global lane (PublishAll, plan-mode
-  /// snapshots); TriggerShardRebuild rebuilds one tile on that shard's
-  /// own rebuild thread, so a rebuilding tile never stalls annotation
-  /// routed to any other shard. Pattern queries and admission are
-  /// unchanged (they run against the global lane).
+  /// `store` must outlive the service and have plan.num_shards() lanes.
+  /// Annotation and queries require a published generation; TriggerRebuild
+  /// with an explicit dataset works on an empty store (bootstrap). Full
+  /// rebuilds publish plan-mode snapshots to every lane (PublishAll);
+  /// TriggerShardRebuild rebuilds one tile on that shard's own rebuild
+  /// thread, so a rebuilding tile never stalls annotation routed to any
+  /// other shard. Pattern queries run against the global lane.
   ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
                ServeOptions options = {});
 
@@ -109,12 +109,12 @@ class ServeService {
   Result<std::future<RebuildResult>> TriggerRebuild(
       std::shared_ptr<const ServeDataset> data = nullptr);
 
-  /// Sharded mode only: queues a rebuild of shard `shard`'s tile on that
-  /// shard's dedicated rebuild lane. The tile dataset is cut from `data`
-  /// (nullptr re-cuts from the global lane's current dataset) by
-  /// MakeShardDataset, built as a tile-local snapshot, and published to
-  /// that shard's lane alone — other shards and the global lane are
-  /// untouched, and annotation routed to them is never blocked.
+  /// Queues a rebuild of shard `shard`'s tile on that shard's dedicated
+  /// rebuild lane. The tile dataset is cut from `data` (nullptr re-cuts
+  /// from the global lane's current dataset) by MakeShardDataset, built
+  /// as a tile-local snapshot, and published to that shard's lane alone
+  /// — other shards and the global lane are untouched, and annotation
+  /// routed to them is never blocked.
   Result<std::future<RebuildResult>> TriggerShardRebuild(
       size_t shard, std::shared_ptr<const ServeDataset> data = nullptr);
 
@@ -156,8 +156,8 @@ class ServeService {
   void SetPausedForTest(bool paused);
 
   const AdmissionController& admission() const { return admission_; }
-  SnapshotStore& store() { return *store_; }
-  const SnapshotStore& store() const { return *store_; }
+  ShardedSnapshotStore& store() { return *store_; }
+  const ShardedSnapshotStore& store() const { return *store_; }
   size_t QueueDepth() const { return batcher_->Depth(); }
 
  private:
@@ -173,10 +173,9 @@ class ServeService {
   };
   static constexpr int64_t kGlobalLane = -1;
 
-  /// One independent rebuild worker: lane 0 serves full rebuilds; in
-  /// sharded mode lanes 1..K serve single-shard rebuilds, one thread per
-  /// shard, so a slow tile build never queues behind (or ahead of)
-  /// another shard's.
+  /// One independent rebuild worker: lane 0 serves full rebuilds; lanes
+  /// 1..K serve single-shard rebuilds, one thread per shard, so a slow
+  /// tile build never queues behind (or ahead of) another shard's.
   struct RebuildLane {
     std::mutex mutex;
     std::condition_variable cv;
@@ -194,20 +193,16 @@ class ServeService {
       std::vector<StayPoint> stays,
       std::chrono::steady_clock::time_point deadline);
   void ExecuteBatch(std::vector<AnnotateRequest> batch);
-  void ExecuteBatchSharded(std::vector<AnnotateRequest> batch);
-  void StartRebuildLanes(size_t count);
   Result<std::future<RebuildResult>> EnqueueRebuild(RebuildJob job);
   void RebuildMain(RebuildLane* lane);
   void RunRebuildJob(RebuildJob job);
 
-  SnapshotStore* store_;
-  /// Sharded mode only (else nullptr); store_ aliases its global lane.
-  ShardedSnapshotStore* sharded_store_ = nullptr;
-  std::unique_ptr<shard::ShardPlan> plan_;
+  ShardedSnapshotStore* store_;
+  shard::ShardPlan plan_;
   ServeOptions options_;
   AdmissionController admission_;
 
-  /// [0] = global; [1 + s] = shard s (sharded mode only).
+  /// [0] = global; [1 + s] = shard s.
   std::vector<std::unique_ptr<RebuildLane>> rebuild_lanes_;
 
   TileSnapshotBuilder tile_builder_;

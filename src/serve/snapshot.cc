@@ -99,10 +99,7 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   SnapshotOptions opts = options;
   opts.miner.build_roi_baseline = false;  // serving never queries ROI
   AdoptDatasetDecayInstant(opts, *data_);
-  miner_ = std::make_unique<PervasiveMiner>(&data_->pois, data_->stays,
-                                            opts.miner);
-  annotator_ = std::make_unique<BatchCsdAnnotator>(
-      &miner_->diagram(), miner_->csd_recognizer().radius());
+  BuildMonolithic(opts);
   FinishInit(opts);
 }
 
@@ -117,6 +114,11 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   SnapshotOptions opts = options;
   opts.miner.build_roi_baseline = false;
   AdoptDatasetDecayInstant(opts, *data_);
+  if (plan_->num_shards() == 1) {  // K=1: the monolithic case
+    BuildMonolithic(opts);
+    FinishInit(opts);
+    return;
+  }
   if (opts.miner.extraction.seq_shard_lanes == 0) {
     opts.miner.extraction.seq_shard_lanes = plan_->num_shards();
   }
@@ -159,6 +161,13 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   annotator_ = std::make_unique<BatchCsdAnnotator>(
       &miner_->diagram(), miner_->csd_recognizer().radius());
   FinishInit(opts);
+}
+
+void CsdSnapshot::BuildMonolithic(const SnapshotOptions& options) {
+  miner_ = std::make_unique<PervasiveMiner>(&data_->pois, data_->stays,
+                                            options.miner);
+  annotator_ = std::make_unique<BatchCsdAnnotator>(
+      &miner_->diagram(), miner_->csd_recognizer().radius());
 }
 
 void CsdSnapshot::FinishInit(const SnapshotOptions& options) {

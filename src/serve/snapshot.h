@@ -73,9 +73,9 @@ struct SnapshotOptions {
 /// An immutable, versioned serving generation: the CSD (via an owned
 /// PervasiveMiner, whose recognizer is the dense-scratch voting kernel of
 /// Algorithm 3), the mined fine-grained patterns, and a CSR unit→pattern
-/// index. Construction does the full build; after Publish() stamps the
-/// version, nothing mutates, so any number of request threads may read it
-/// without synchronization.
+/// index. Construction does the full build; once the store stamps the
+/// version on publish nothing mutates, so any number of request threads
+/// may read it without synchronization.
 ///
 /// Heap-only and pinned (no copy/move): the recognizer holds interior
 /// pointers into the miner, so the object must never relocate.
@@ -84,14 +84,17 @@ class CsdSnapshot {
   CsdSnapshot(std::shared_ptr<const ServeDataset> data,
               const SnapshotOptions& options);
 
-  /// Sharded (plan-mode) build: the diagram comes from
-  /// shard::ShardedCsdBuild over `plan` (byte-identical to the monolithic
-  /// build, constructed tile-by-tile), pattern mining runs with
+  /// Plan-mode build, the one a ServeService publishes: the diagram comes
+  /// from shard::ShardedCsdBuild over `plan` (byte-identical to the
+  /// monolithic build, constructed tile-by-tile), pattern mining runs with
   /// num_shards PrefixSpan lanes, and a per-shard subset annotator is
   /// built for every tile so geo-routed batches touch only their shard's
-  /// halo slice of the grid. The ROI baseline recognizer is skipped in
-  /// BOTH snapshot ctors (serving never annotates through it), so
-  /// monolithic-vs-sharded build timings compare like with like.
+  /// halo slice of the grid. A 1×1 plan is the monolithic case: it runs
+  /// the monolithic stage pass (a one-tile build would be one serial pool
+  /// task) and its one shard annotates through the city-wide annotator
+  /// (a subset annotator would be a second full-city grid). The ROI
+  /// baseline recognizer is skipped in every snapshot ctor (serving never
+  /// annotates through it), so build timings compare like with like.
   CsdSnapshot(std::shared_ptr<const ServeDataset> data,
               const SnapshotOptions& options, const shard::ShardPlan& plan);
 
@@ -108,9 +111,9 @@ class CsdSnapshot {
   CsdSnapshot(const CsdSnapshot&) = delete;
   CsdSnapshot& operator=(const CsdSnapshot&) = delete;
 
-  /// Version stamped by SnapshotStore::Publish; 0 until published. The
-  /// publishing store's release-store makes the stamp visible to every
-  /// reader that acquired the snapshot through it.
+  /// Version stamped by ShardedSnapshotStore's publish; 0 until
+  /// published. The store's release-store makes the stamp visible to
+  /// every reader that acquired the snapshot through it.
   uint64_t version() const { return version_; }
 
   const ServeDataset& data() const { return *data_; }
@@ -131,8 +134,10 @@ class CsdSnapshot {
   const shard::ShardPlan* plan() const { return plan_.get(); }
 
   /// Annotator for stays routed to shard `s`: the tile's subset annotator
-  /// in plan mode (byte-identical to annotator() for any in-tile query,
-  /// see core/batch_annotator.h), the city-wide annotator otherwise.
+  /// in plan mode with K > 1 (byte-identical to annotator() for any
+  /// in-tile query, see core/batch_annotator.h); annotator() itself at
+  /// K=1 and for snapshots without a plan (a tile-local rebuild's
+  /// annotator already covers exactly its shard's halo).
   const BatchCsdAnnotator& annotator_for_shard(size_t s) const {
     return shard_annotators_.empty() ? *annotator_ : *shard_annotators_[s];
   }
@@ -157,10 +162,12 @@ class CsdSnapshot {
   static uint64_t LiveCount();
 
  private:
-  friend class SnapshotStore;
   friend class ShardedSnapshotStore;
   void StampVersion(uint64_t version);
-  /// Shared tail of both ctors: pattern mining + the unit→pattern CSR.
+  /// The monolithic stage pass (PervasiveMiner's own CsdBuilder run) plus
+  /// the city-wide annotator over its diagram.
+  void BuildMonolithic(const SnapshotOptions& options);
+  /// Shared tail of every ctor: pattern mining + the unit→pattern CSR.
   void FinishInit(const SnapshotOptions& options);
 
   std::shared_ptr<const ServeDataset> data_;

@@ -29,11 +29,8 @@ obs::Counter& ShardPublishCounter() {
 
 }  // namespace
 
-SnapshotStore::SnapshotStore(std::shared_ptr<CsdSnapshot> initial) {
-  Publish(std::move(initial));
-}
-
-std::shared_ptr<const CsdSnapshot> SnapshotStore::Acquire() const {
+std::shared_ptr<const CsdSnapshot> ShardedSnapshotStore::Lane::Acquire()
+    const {
 #ifdef CSD_SERVE_ATOMIC_SHARED_PTR
   return current_.load(std::memory_order_acquire);
 #else
@@ -41,25 +38,8 @@ std::shared_ptr<const CsdSnapshot> SnapshotStore::Acquire() const {
 #endif
 }
 
-uint64_t SnapshotStore::Publish(std::shared_ptr<CsdSnapshot> next) {
-  CSD_TRACE_SPAN("serve/publish");
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version = version_.load(std::memory_order_relaxed) + 1;
-  next->StampVersion(version);
-  StoreCurrent(std::shared_ptr<const CsdSnapshot>(std::move(next)), version);
-  SnapshotVersionGauge().Set(static_cast<double>(version));
-  PublishCounter().Increment();
-  return version;
-}
-
-void SnapshotStore::PublishStamped(std::shared_ptr<const CsdSnapshot> next,
-                                   uint64_t version) {
-  std::lock_guard<std::mutex> lock(publish_mutex_);
-  StoreCurrent(std::move(next), version);
-}
-
-void SnapshotStore::StoreCurrent(std::shared_ptr<const CsdSnapshot> next,
-                                 uint64_t version) {
+void ShardedSnapshotStore::Lane::Store(
+    std::shared_ptr<const CsdSnapshot> next, uint64_t version) {
   // The release store below is what makes the stamp (and the whole
   // snapshot construction) visible to readers that Acquire() it.
 #ifdef CSD_SERVE_ATOMIC_SHARED_PTR
@@ -77,15 +57,12 @@ ShardedSnapshotStore::ShardedSnapshotStore(size_t num_shards)
 uint64_t ShardedSnapshotStore::PublishAll(std::shared_ptr<CsdSnapshot> next) {
   CSD_TRACE_SPAN("serve/publish_all");
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version =
-      next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t version = ++last_version_;
   // Stamped exactly once, before any lane can hand the snapshot out.
   next->StampVersion(version);
   std::shared_ptr<const CsdSnapshot> shared = std::move(next);
-  global_.PublishStamped(shared, version);
-  for (SnapshotStore& lane : lanes_) {
-    lane.PublishStamped(shared, version);
-  }
+  global_.Store(shared, version);
+  for (Lane& lane : lanes_) lane.Store(shared, version);
   SnapshotVersionGauge().Set(static_cast<double>(version));
   PublishCounter().Increment();
   return version;
@@ -95,11 +72,10 @@ uint64_t ShardedSnapshotStore::PublishShard(
     size_t s, std::shared_ptr<CsdSnapshot> next) {
   CSD_TRACE_SPAN("serve/publish_shard");
   std::lock_guard<std::mutex> lock(publish_mutex_);
-  uint64_t version =
-      next_version_.fetch_add(1, std::memory_order_relaxed) + 1;
+  uint64_t version = ++last_version_;
   next->StampVersion(version);
-  lanes_[s].PublishStamped(
-      std::shared_ptr<const CsdSnapshot>(std::move(next)), version);
+  lanes_[s].Store(std::shared_ptr<const CsdSnapshot>(std::move(next)),
+                  version);
   ShardPublishCounter().Increment();
   return version;
 }

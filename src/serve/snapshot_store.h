@@ -22,73 +22,22 @@
 
 namespace csd::serve {
 
-/// RCU-style holder of the current serving generation. Readers acquire
-/// the live snapshot as a shared_ptr copy through
-/// std::atomic<std::shared_ptr> (no store-wide lock, never blocked by a
-/// publish); a publish stamps the next version onto the incoming snapshot
-/// and swaps it in atomically. In-flight requests keep annotating against
-/// the generation they acquired, and an old generation is reclaimed by
-/// the shared_ptr control block the moment its last reader releases it —
-/// there is no quiescence wait and no epoch bookkeeping to leak.
+/// The serving store: one global lane (the full-city snapshot — pattern
+/// queries and the geo-router's plan source) plus one lane per spatial
+/// shard. K=1 is the monolithic case: one shard lane beside the global
+/// one, both holding the same generation until a shard rebuild.
 ///
-/// Publishes are serialized by a mutex (they are rare — one per rebuild)
-/// so versions are strictly monotonic; Acquire never takes it.
-class SnapshotStore {
- public:
-  SnapshotStore() = default;
-
-  /// Convenience: construct and publish an initial generation (version 1).
-  explicit SnapshotStore(std::shared_ptr<CsdSnapshot> initial);
-
-  /// The current generation, or nullptr before the first publish. The
-  /// returned pointer pins the snapshot: hold it for the duration of one
-  /// request (or one batch) and let it go.
-  std::shared_ptr<const CsdSnapshot> Acquire() const;
-
-  /// Stamps `next` with the next version, swaps it in, and returns that
-  /// version. The previous generation stays alive until its last reader
-  /// releases it.
-  uint64_t Publish(std::shared_ptr<CsdSnapshot> next);
-
-  /// Swaps in a snapshot whose version was already stamped by an outer
-  /// versioning authority (ShardedSnapshotStore, which fans one stamped
-  /// generation out to several lanes). Does not touch the publish
-  /// metrics; `version` must exceed this store's current version.
-  void PublishStamped(std::shared_ptr<const CsdSnapshot> next,
-                      uint64_t version);
-
-  /// Version of the latest published generation (0 before the first).
-  uint64_t current_version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
- private:
-  void StoreCurrent(std::shared_ptr<const CsdSnapshot> next,
-                    uint64_t version);
-
-  std::mutex publish_mutex_;
-  std::atomic<uint64_t> version_{0};
-// Under ThreadSanitizer, use the free-function atomic shared_ptr protocol
-// (a mutex pool tsan understands) instead of std::atomic<shared_ptr>:
-// libstdc++'s _Sp_atomic::load releases its embedded spinlock with
-// memory_order_relaxed, which is mutually exclusive on real hardware (the
-// lock bit is an RMW) but carries no happens-before edge, so tsan reports
-// the guarded _M_ptr accesses as racing.
-#if defined(__cpp_lib_atomic_shared_ptr) && !defined(CSD_SERVE_TSAN)
-#define CSD_SERVE_ATOMIC_SHARED_PTR 1
-  std::atomic<std::shared_ptr<const CsdSnapshot>> current_;
-#else
-  // Pre-C++20 libraries and tsan builds: free-function protocol.
-  std::shared_ptr<const CsdSnapshot> current_;
-#endif
-};
-
-/// The sharded serving store: one global lane (the full-city snapshot —
-/// pattern queries and the geo-router's plan source) plus one lane per
-/// spatial shard, each an independent RCU SnapshotStore. All lanes share
-/// a single monotonic version counter, so "shard 3 is newer than the
-/// global snapshot" is a meaningful comparison; a snapshot is stamped
-/// exactly once, then fanned out.
+/// Every lane is an RCU cell. Readers acquire the live snapshot as a
+/// shared_ptr copy through std::atomic<std::shared_ptr> (no store-wide
+/// lock, never blocked by a publish); in-flight requests keep annotating
+/// against the generation they acquired, and an old generation is
+/// reclaimed by the shared_ptr control block the moment its last reader
+/// releases it — no quiescence wait and no epoch bookkeeping to leak.
+///
+/// All lanes share one monotonic version counter, so "shard 3 is newer
+/// than the global snapshot" is a meaningful comparison; a snapshot is
+/// stamped exactly once, then fanned out. Publishes are serialized by a
+/// mutex (they are rare — one per rebuild); Acquire never takes it.
 ///
 /// PublishAll seeds every lane with the same full-city generation (the
 /// bootstrap and full-rebuild path); PublishShard replaces one shard's
@@ -99,10 +48,10 @@ class ShardedSnapshotStore {
   explicit ShardedSnapshotStore(size_t num_shards);
 
   size_t num_shards() const { return lanes_.size(); }
-  SnapshotStore& global() { return global_; }
-  const SnapshotStore& global() const { return global_; }
-  SnapshotStore& shard(size_t s) { return lanes_[s]; }
 
+  /// The global lane's generation, or nullptr before the first
+  /// PublishAll. The returned pointer pins the snapshot: hold it for the
+  /// duration of one request (or one batch) and let it go.
   std::shared_ptr<const CsdSnapshot> Acquire() const {
     return global_.Acquire();
   }
@@ -120,18 +69,43 @@ class ShardedSnapshotStore {
 
   /// Version of the global lane's generation (0 before the first
   /// PublishAll) — the service's "is anything published yet" check.
-  uint64_t current_version() const { return global_.current_version(); }
-  uint64_t shard_version(size_t s) const {
-    return lanes_[s].current_version();
-  }
+  uint64_t current_version() const { return global_.version(); }
+  uint64_t shard_version(size_t s) const { return lanes_[s].version(); }
 
  private:
+  /// One RCU cell. Not movable (atomics), so the lane vector is sized
+  /// once at construction and never reallocates.
+  class Lane {
+   public:
+    std::shared_ptr<const CsdSnapshot> Acquire() const;
+    /// Swaps in a snapshot already stamped with `version`; callers hold
+    /// the store's publish mutex.
+    void Store(std::shared_ptr<const CsdSnapshot> next, uint64_t version);
+    uint64_t version() const {
+      return version_.load(std::memory_order_acquire);
+    }
+
+   private:
+    std::atomic<uint64_t> version_{0};
+// Under ThreadSanitizer, use the free-function atomic shared_ptr protocol
+// (a mutex pool tsan understands) instead of std::atomic<shared_ptr>:
+// libstdc++'s _Sp_atomic::load releases its embedded spinlock with
+// memory_order_relaxed, which is mutually exclusive on real hardware (the
+// lock bit is an RMW) but carries no happens-before edge, so tsan reports
+// the guarded _M_ptr accesses as racing.
+#if defined(__cpp_lib_atomic_shared_ptr) && !defined(CSD_SERVE_TSAN)
+#define CSD_SERVE_ATOMIC_SHARED_PTR 1
+    std::atomic<std::shared_ptr<const CsdSnapshot>> current_;
+#else
+    // Pre-C++20 libraries and tsan builds: free-function protocol.
+    std::shared_ptr<const CsdSnapshot> current_;
+#endif
+  };
+
   std::mutex publish_mutex_;
-  std::atomic<uint64_t> next_version_{0};
-  SnapshotStore global_;
-  // vector<SnapshotStore> is fine: lanes are constructed in place once
-  // and never moved (SnapshotStore is not movable).
-  std::vector<SnapshotStore> lanes_;
+  uint64_t last_version_ = 0;  // guarded by publish_mutex_
+  Lane global_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace csd::serve

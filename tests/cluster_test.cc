@@ -5,7 +5,6 @@
 #include <set>
 
 #include "cluster/dbscan.h"
-#include "cluster/kmeans.h"
 #include "cluster/mean_shift.h"
 #include "cluster/optics.h"
 #include "util/rng.h"
@@ -251,56 +250,6 @@ TEST(MeanShiftTest, FourDimensionalEmbedding) {
 TEST(MeanShiftTest, EmptyInput) {
   Clustering c = MeanShift({}, {});
   EXPECT_EQ(c.num_clusters, 0);
-}
-
-// --- KMeans -----------------------------------------------------------------
-
-TEST(KMeansTest, PartitionsTwoBlobs) {
-  auto pts = TwoBlobsWithNoise();
-  pts.resize(60);  // drop the uniform noise
-  KMeansOptions options;
-  options.k = 2;
-  KMeansResult r = KMeans(pts, options);
-  EXPECT_EQ(r.clustering.num_clusters, 2);
-  for (int i = 1; i < 30; ++i) {
-    EXPECT_EQ(r.clustering.labels[i], r.clustering.labels[0]);
-  }
-  EXPECT_NE(r.clustering.labels[0], r.clustering.labels[30]);
-  EXPECT_EQ(r.centroids.size(), 2u);
-}
-
-TEST(KMeansTest, KClampedToPointCount) {
-  std::vector<Vec2> pts = {{0, 0}, {1, 1}};
-  KMeansOptions options;
-  options.k = 10;
-  KMeansResult r = KMeans(pts, options);
-  EXPECT_EQ(r.clustering.num_clusters, 2);
-}
-
-TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
-  auto pts = TwoBlobsWithNoise();
-  KMeansOptions k1;
-  k1.k = 1;
-  KMeansOptions k4;
-  k4.k = 4;
-  EXPECT_GT(KMeans(pts, k1).inertia, KMeans(pts, k4).inertia);
-}
-
-TEST(KMeansTest, DeterministicForSeed) {
-  auto pts = TwoBlobsWithNoise();
-  KMeansOptions options;
-  options.k = 3;
-  options.seed = 77;
-  auto a = KMeans(pts, options);
-  auto b = KMeans(pts, options);
-  EXPECT_EQ(a.clustering.labels, b.clustering.labels);
-  EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
-}
-
-TEST(KMeansTest, EmptyInput) {
-  KMeansResult r = KMeans({}, {});
-  EXPECT_EQ(r.clustering.num_clusters, 0);
-  EXPECT_TRUE(r.centroids.empty());
 }
 
 }  // namespace

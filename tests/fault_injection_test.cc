@@ -1,5 +1,5 @@
 // Fault injection and robustness: the failpoint registry itself, every
-// planted failpoint in the tree (ingest I/O, protocol parsing, batch
+// planted failpoint in the tree (ingest I/O, frame parsing, batch
 // execution, snapshot rebuild), deadline propagation, and the batcher's
 // shutdown/pause edge cases. The invariant under test everywhere: a fault
 // turns into a prompt, explicit non-OK Status — never a hang, a crash, or
@@ -30,7 +30,9 @@
 #include "io/dataset_io.h"
 #include "obs/obs.h"
 #include "serve/batcher.h"
-#include "serve/protocol.h"
+#include "serve/frame.h"
+#include "serve/net_client.h"
+#include "serve/net_server.h"
 #include "serve/retry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -54,6 +56,7 @@ using serve::AnnotateRequest;
 using serve::AnnotateResult;
 using serve::kNoDeadline;
 using serve::RequestBatcher;
+using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
 using serve::testing::TestSnapshotOptions;
 
@@ -243,38 +246,45 @@ TEST_F(IngestFailpointTest, EveryIngestReaderIsInjectable) {
   }
 }
 
-// --- Planted protocol failpoint ------------------------------------------
+// --- Planted frame-parse failpoint ---------------------------------------
 
 TEST_F(FailpointTest, ProtocolParseIsInjectable) {
-  ASSERT_TRUE(serve::ParseRequestLine("stats").ok());
+  // The parse site is frame decode on a live server: an armed trip
+  // answers that one frame with an error carrying its request_id, and the
+  // connection keeps serving.
+  K1Store store(std::make_shared<serve::CsdSnapshot>(
+      MakeTestDataset(), TestSnapshotOptions(/*mine_patterns=*/false)));
+  serve::ServeService service(&store, store.plan);
+  auto server = serve::NetServer::Start(&service, serve::NetServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto client_or =
+      serve::NetClient::Connect("127.0.0.1", server.value()->port());
+  ASSERT_TRUE(client_or.ok()) << client_or.status();
+  std::unique_ptr<serve::NetClient> client = std::move(client_or).value();
+  auto stats = [&client](uint32_t request_id) {
+    std::vector<uint8_t> bytes;
+    serve::AppendStatsRequest(request_id, &bytes);
+    EXPECT_TRUE(client->Send(bytes).ok());
+    Result<serve::NetResponse> response = client->ReadResponse();
+    EXPECT_TRUE(response.ok()) << response.status();
+    return response.ok() ? response.value() : serve::NetResponse{};
+  };
+
+  EXPECT_EQ(stats(1).type, serve::FrameType::kTextResp);
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Arm("serve/parse", "return(parseerror:fuzzed)")
                   .ok());
-  auto injected = serve::ParseRequestLine("stats");
-  ASSERT_FALSE(injected.ok());
-  EXPECT_EQ(injected.status().code(), StatusCode::kParseError);
+  serve::NetResponse injected = stats(2);
+  EXPECT_EQ(injected.type, serve::FrameType::kErrorResp);
+  EXPECT_EQ(injected.request_id, 2u);
+  EXPECT_EQ(injected.code, StatusCode::kParseError);
   FailpointRegistry::Get().DisarmAll();
-  EXPECT_TRUE(serve::ParseRequestLine("stats").ok());
-}
+  serve::NetResponse healthy = stats(3);
+  EXPECT_EQ(healthy.type, serve::FrameType::kTextResp);
+  EXPECT_EQ(healthy.request_id, 3u);
 
-TEST_F(FailpointTest, ProtocolDeadlineTokenParses) {
-  auto with = serve::ParseRequestLine("annotate 1,2;3,4 @250");
-  ASSERT_TRUE(with.ok()) << with.status().ToString();
-  EXPECT_EQ(with.value().stays.size(), 2u);
-  EXPECT_EQ(with.value().deadline_budget, std::chrono::milliseconds(250));
-
-  auto journey = serve::ParseRequestLine("journey 1,2,3;4,5,6 @50");
-  ASSERT_TRUE(journey.ok()) << journey.status().ToString();
-  EXPECT_EQ(journey.value().deadline_budget, std::chrono::milliseconds(50));
-
-  auto without = serve::ParseRequestLine("annotate 1,2");
-  ASSERT_TRUE(without.ok());
-  EXPECT_EQ(without.value().deadline_budget.count(), 0);
-
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @0").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @-5").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate 1,2 @soon").ok());
-  EXPECT_FALSE(serve::ParseRequestLine("annotate @100").ok());  // no points
+  server.value()->Shutdown();
+  service.Shutdown();
 }
 
 // --- Serving-layer chaos --------------------------------------------------
@@ -315,8 +325,8 @@ std::shared_ptr<const serve::ServeDataset>* ServeFaultTest::dataset_ =
 std::shared_ptr<serve::CsdSnapshot>* ServeFaultTest::snapshot_ = nullptr;
 
 TEST_F(ServeFaultTest, ExecuteBatchFaultFailsRequestsExplicitly) {
-  serve::SnapshotStore store(*snapshot_);
-  serve::ServeService service(&store);
+  K1Store store(*snapshot_);
+  serve::ServeService service(&store, store.plan);
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Arm("serve/execute_batch", "return(unavailable:chaos)")
                   .ok());
@@ -344,10 +354,10 @@ TEST_F(ServeFaultTest, ExecuteBatchFaultFailsRequestsExplicitly) {
 }
 
 TEST_F(ServeFaultTest, FailedRebuildKeepsServingLastGoodSnapshot) {
-  serve::SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   serve::ServeOptions options;
   options.snapshot = TestSnapshotOptions(/*mine_patterns=*/false);
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, store.plan, options);
   uint64_t version_before = store.current_version();
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Arm("serve/rebuild", "return(unavailable:rebuild chaos)")
@@ -384,10 +394,10 @@ TEST_F(ServeFaultTest, FailedRebuildKeepsServingLastGoodSnapshot) {
 }
 
 TEST_F(ServeFaultTest, ChaosSweepNeverHangsOrDropsSilently) {
-  serve::SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   serve::ServeOptions options;
   options.batch.max_batch = 1;  // every request is its own batch
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, store.plan, options);
   FailpointRegistry::Get().SetSeed(0xBADD1E);
   ASSERT_TRUE(FailpointRegistry::Get()
                   .Arm("serve/execute_batch", "50%return(unavailable)")
@@ -713,8 +723,8 @@ TEST_F(StreamChaosTest, RestoreAfterMidTickFaultMatchesBatchOracleBytes) {
 // --- Deadline propagation -------------------------------------------------
 
 TEST_F(ServeFaultTest, ExpiredDeadlineRejectsBeforeAdmission) {
-  serve::SnapshotStore store(*snapshot_);
-  serve::ServeService service(&store);
+  K1Store store(*snapshot_);
+  serve::ServeService service(&store, store.plan);
   Rng rng(43);
   uint64_t admitted_before =
       service.admission().Admitted(serve::RequestClass::kAnnotate);
@@ -728,10 +738,10 @@ TEST_F(ServeFaultTest, ExpiredDeadlineRejectsBeforeAdmission) {
 }
 
 TEST_F(ServeFaultTest, DeadlineExpiringInQueueCompletesWithStatus) {
-  serve::SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   serve::ServeOptions options;
   options.start_paused = true;  // hold the queue so the deadline passes
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, store.plan, options);
 
   Rng rng(47);
   auto future_or = service.AnnotateStayPoints(
@@ -755,11 +765,11 @@ TEST_F(ServeFaultTest, DeadlineExpiringInQueueCompletesWithStatus) {
 }
 
 TEST_F(ServeFaultTest, BatchWindowNeverOutlivesTheEarliestDeadline) {
-  serve::SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   serve::ServeOptions options;
   options.batch.max_batch = 64;
   options.batch.max_delay = std::chrono::seconds(30);  // absurd window
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, store.plan, options);
 
   // A lone request with a 100 ms budget: the window must collapse to the
   // deadline instead of coalescing for 30 s. Completion (here: expiry,
@@ -781,8 +791,8 @@ TEST_F(ServeFaultTest, BatchWindowNeverOutlivesTheEarliestDeadline) {
   // request rides the normal max_batch/max_delay close and succeeds.
   serve::ServeOptions fast;
   fast.batch.max_delay = std::chrono::milliseconds(1);
-  serve::SnapshotStore store2(*snapshot_);
-  serve::ServeService quick(&store2, fast);
+  K1Store store2(*snapshot_);
+  serve::ServeService quick(&store2, store2.plan, fast);
   auto roomy = quick.AnnotateStayPoints(
       MakeStays(rng, 2),
       std::chrono::steady_clock::now() + std::chrono::seconds(30));
@@ -902,10 +912,10 @@ TEST(RequestBatcherTest, RePauseMidWindowPreservesTheOriginalWindow) {
 // --- Admission ticket accounting -----------------------------------------
 
 TEST_F(ServeFaultTest, RepeatedQueriesDoNotLeakAdmissionSlots) {
-  serve::SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   serve::ServeOptions options;
   options.limits.query = 4;
-  serve::ServeService service(&store, options);
+  serve::ServeService service(&store, store.plan, options);
   // 5x the budget sequentially: any leaked slot would exhaust the class.
   for (int i = 0; i < 20; ++i) {
     auto result = service.QueryPatternsByUnit(static_cast<UnitId>(i % 7));

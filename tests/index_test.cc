@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "index/grid_index.h"
-#include "index/kd_tree.h"
 #include "util/rng.h"
 
 namespace csd {
@@ -148,82 +147,6 @@ TEST(GridIndexTest, NearestMatchesBruteForce) {
     size_t want = BruteNearest(pts, q);
     EXPECT_DOUBLE_EQ(Distance(pts[got], q), Distance(pts[want], q));
   }
-}
-
-// --- KdTree ----------------------------------------------------------------
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree({});
-  EXPECT_TRUE(tree.RadiusQuery({0, 0}, 10.0).empty());
-  EXPECT_EQ(tree.Nearest({0, 0}), std::numeric_limits<size_t>::max());
-  EXPECT_TRUE(tree.KNearest({0, 0}, 3).empty());
-}
-
-TEST(KdTreeTest, SinglePoint) {
-  KdTree tree({{5, 5}});
-  EXPECT_EQ(tree.Nearest({0, 0}), 0u);
-  EXPECT_EQ(tree.RadiusQuery({5, 5}, 0.0).size(), 1u);
-}
-
-TEST(KdTreeTest, RadiusMatchesBruteForce) {
-  auto pts = RandomPoints(400, 800.0, 21);
-  KdTree tree(pts);
-  Rng rng(9);
-  for (int i = 0; i < 100; ++i) {
-    Vec2 q{rng.Uniform(0.0, 800.0), rng.Uniform(0.0, 800.0)};
-    double r = rng.Uniform(0.0, 120.0);
-    auto got = tree.RadiusQuery(q, r);
-    auto want = BruteRadius(pts, q, r);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(KdTreeTest, NearestMatchesBruteForce) {
-  auto pts = RandomPoints(400, 800.0, 22);
-  KdTree tree(pts);
-  Rng rng(10);
-  for (int i = 0; i < 200; ++i) {
-    Vec2 q{rng.Uniform(-100.0, 900.0), rng.Uniform(-100.0, 900.0)};
-    size_t got = tree.Nearest(q);
-    size_t want = BruteNearest(pts, q);
-    EXPECT_DOUBLE_EQ(Distance(pts[got], q), Distance(pts[want], q));
-  }
-}
-
-TEST(KdTreeTest, KNearestOrderedAndCorrect) {
-  auto pts = RandomPoints(200, 500.0, 31);
-  KdTree tree(pts);
-  Rng rng(12);
-  for (int i = 0; i < 50; ++i) {
-    Vec2 q{rng.Uniform(0.0, 500.0), rng.Uniform(0.0, 500.0)};
-    size_t k = static_cast<size_t>(rng.UniformInt(1, 20));
-    auto got = tree.KNearest(q, k);
-    ASSERT_EQ(got.size(), std::min(k, pts.size()));
-    // Ordered by increasing distance.
-    for (size_t j = 1; j < got.size(); ++j) {
-      EXPECT_LE(Distance(pts[got[j - 1]], q), Distance(pts[got[j]], q));
-    }
-    // Matches brute-force top-k distance set.
-    std::vector<double> dists;
-    for (const Vec2& p : pts) dists.push_back(Distance(p, q));
-    std::sort(dists.begin(), dists.end());
-    for (size_t j = 0; j < got.size(); ++j) {
-      EXPECT_DOUBLE_EQ(Distance(pts[got[j]], q), dists[j]);
-    }
-  }
-}
-
-TEST(KdTreeTest, KNearestWithKLargerThanSize) {
-  KdTree tree({{0, 0}, {1, 1}, {2, 2}});
-  auto got = tree.KNearest({0, 0}, 10);
-  EXPECT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], 0u);
-}
-
-TEST(KdTreeTest, DuplicatePointsAllReturned) {
-  KdTree tree({{1, 1}, {1, 1}, {1, 1}});
-  EXPECT_EQ(tree.RadiusQuery({1, 1}, 0.5).size(), 3u);
 }
 
 }  // namespace

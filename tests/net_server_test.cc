@@ -28,6 +28,7 @@
 namespace csd::serve {
 namespace {
 
+using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
 using serve::testing::TestSnapshotOptions;
 
@@ -74,8 +75,8 @@ std::unique_ptr<NetClient> MustConnect(const NetServer& server) {
 }
 
 TEST_F(NetServerTest, AnnotateMatchesInProcessPath) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -107,8 +108,8 @@ TEST_F(NetServerTest, AnnotateMatchesInProcessPath) {
 }
 
 TEST_F(NetServerTest, JourneyQueryStatsAndRebuildRoundTrip) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
   std::unique_ptr<NetClient> client = MustConnect(*server.value());
@@ -153,8 +154,8 @@ TEST_F(NetServerTest, JourneyQueryStatsAndRebuildRoundTrip) {
 }
 
 TEST_F(NetServerTest, PipelinedRequestsMatchResponsesById) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
   std::unique_ptr<NetClient> client = MustConnect(*server.value());
@@ -184,8 +185,8 @@ TEST_F(NetServerTest, PipelinedRequestsMatchResponsesById) {
 }
 
 TEST_F(NetServerTest, HeaderDeadlineIsEnforced) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
   std::unique_ptr<NetClient> client = MustConnect(*server.value());
@@ -216,8 +217,8 @@ TEST_F(NetServerTest, HeaderDeadlineIsEnforced) {
 }
 
 TEST_F(NetServerTest, NetReadFaultClosesOnlyTheFaultedConnection) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -246,8 +247,8 @@ TEST_F(NetServerTest, NetReadFaultClosesOnlyTheFaultedConnection) {
 }
 
 TEST_F(NetServerTest, MalformedHeaderPoisonsTheStream) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
   std::unique_ptr<NetClient> client = MustConnect(*server.value());
@@ -271,8 +272,8 @@ TEST_F(NetServerTest, MalformedHeaderPoisonsTheStream) {
 }
 
 TEST_F(NetServerTest, ShutdownWithInFlightRequestsIsClean) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   auto server = NetServer::Start(&service, NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
   std::unique_ptr<NetClient> client = MustConnect(*server.value());
@@ -298,8 +299,8 @@ TEST_F(NetServerTest, ShutdownWithInFlightRequestsIsClean) {
 }
 
 TEST_F(NetServerTest, MultiLoopServerServesManyConnections) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
   NetServerOptions options;
   options.num_loops = 2;
   auto server = NetServer::Start(&service, options);

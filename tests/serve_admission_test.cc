@@ -20,6 +20,7 @@
 namespace csd::serve {
 namespace {
 
+using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
 using serve::testing::TestSnapshotOptions;
 
@@ -59,11 +60,11 @@ std::shared_ptr<const ServeDataset>* ServeAdmissionTest::dataset_ = nullptr;
 std::shared_ptr<CsdSnapshot>* ServeAdmissionTest::snapshot_ = nullptr;
 
 TEST_F(ServeAdmissionTest, SaturationRejectsDeterministically) {
-  SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   ServeOptions options;
   options.limits.annotate = 4;
   options.start_paused = true;  // nothing dispatches: the queue only grows
-  ServeService service(&store, options);
+  ServeService service(&store, store.plan, options);
 
   Rng rng(17);
   std::vector<std::future<AnnotateResult>> admitted;
@@ -94,10 +95,10 @@ TEST_F(ServeAdmissionTest, SaturationRejectsDeterministically) {
 }
 
 TEST_F(ServeAdmissionTest, ShutdownDrainsEveryAdmittedRequest) {
-  SnapshotStore store(*snapshot_);
+  K1Store store(*snapshot_);
   ServeOptions options;
   options.start_paused = true;
-  ServeService service(&store, options);
+  ServeService service(&store, store.plan, options);
 
   Rng rng(23);
   std::vector<std::future<AnnotateResult>> admitted;
@@ -134,10 +135,10 @@ TEST_F(ServeAdmissionTest, BatchedResultsMatchUnbatchedKernel) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     SetDefaultParallelism(threads);
 
-    SnapshotStore store(*snapshot_);
+    K1Store store(*snapshot_);
     ServeOptions options;
     options.start_paused = true;  // force everything into one big batch
-    ServeService service(&store, options);
+    ServeService service(&store, store.plan, options);
 
     Rng rng(4242);  // same seed per parallelism level → same inputs
     std::vector<std::vector<StayPoint>> inputs;

@@ -1,7 +1,7 @@
-// End-to-end behavior of ServeService's four endpoints plus the csdctl
-// wire protocol: preconditions on an unpublished store, rebuilds that
-// publish new generations visible to later requests, pattern queries that
-// pin their snapshot, and the request grammar's parse/format round trips.
+// End-to-end behavior of ServeService's four endpoints over the K=1 store:
+// preconditions on an unpublished store, rebuilds that publish new
+// generations visible to later requests, pattern queries that pin their
+// snapshot, and the net server's text response formats.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "serve/protocol.h"
+#include "serve/net_server.h"
 #include "serve/service.h"
 #include "tests/serve_test_helpers.h"
 #include "util/status.h"
@@ -18,6 +18,7 @@
 namespace csd::serve {
 namespace {
 
+using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
 using serve::testing::TestSnapshotOptions;
 
@@ -43,8 +44,8 @@ std::shared_ptr<const ServeDataset>* ServeServiceTest::dataset_ = nullptr;
 std::shared_ptr<CsdSnapshot>* ServeServiceTest::snapshot_ = nullptr;
 
 TEST_F(ServeServiceTest, RequiresAPublishedSnapshot) {
-  SnapshotStore store;  // empty: version 0, Acquire() == nullptr
-  ServeService service(&store);
+  K1Store store(*dataset_);  // empty: version 0, Acquire() == nullptr
+  ServeService service(&store, store.plan);
 
   auto annotate = service.AnnotateStayPoints(
       {StayPoint(Vec2{100.0, 100.0}, 0)});
@@ -70,8 +71,8 @@ TEST_F(ServeServiceTest, RequiresAPublishedSnapshot) {
 }
 
 TEST_F(ServeServiceTest, AnnotatesJourneysAgainstTheCurrentSnapshot) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
 
   TaxiJourney journey;
   journey.pickup = GpsPoint(Vec2{500.0, 500.0}, 8 * kSecondsPerHour);
@@ -88,8 +89,8 @@ TEST_F(ServeServiceTest, AnnotatesJourneysAgainstTheCurrentSnapshot) {
 }
 
 TEST_F(ServeServiceTest, QueryPinsItsSnapshotAcrossAPublish) {
-  SnapshotStore store(*snapshot_);
-  ServeService service(&store);
+  K1Store store(*snapshot_);
+  ServeService service(&store, store.plan);
 
   // Find a unit that actually anchors patterns.
   const CsdSnapshot& snapshot = **snapshot_;
@@ -124,55 +125,13 @@ TEST_F(ServeServiceTest, QueryPinsItsSnapshotAcrossAPublish) {
   EXPECT_EQ(std::move(fresh).value().get().snapshot_version, 2u);
 }
 
-TEST(ServeProtocolTest, ParsesEveryVerb) {
-  auto annotate = ParseRequestLine("annotate 10,20;30.5,40.5");
-  ASSERT_TRUE(annotate.ok()) << annotate.status().ToString();
-  EXPECT_EQ(annotate.value().kind, RequestKind::kAnnotate);
-  ASSERT_EQ(annotate.value().stays.size(), 2u);
-  EXPECT_DOUBLE_EQ(annotate.value().stays[1].position.x, 30.5);
-
-  auto journey = ParseRequestLine("journey 1,2,3;4,5,6");
-  ASSERT_TRUE(journey.ok()) << journey.status().ToString();
-  EXPECT_EQ(journey.value().kind, RequestKind::kJourney);
-  EXPECT_EQ(journey.value().journey.pickup.time, 3);
-  EXPECT_DOUBLE_EQ(journey.value().journey.dropoff.position.y, 5.0);
-
-  auto query = ParseRequestLine("query-unit 42");
-  ASSERT_TRUE(query.ok()) << query.status().ToString();
-  EXPECT_EQ(query.value().kind, RequestKind::kQueryUnit);
-  EXPECT_EQ(query.value().unit, 42u);
-
-  EXPECT_EQ(ParseRequestLine("rebuild").value().kind, RequestKind::kRebuild);
-  EXPECT_EQ(ParseRequestLine("stats").value().kind, RequestKind::kStats);
-  EXPECT_EQ(ParseRequestLine("  quit  ").value().kind, RequestKind::kQuit);
-}
-
-TEST(ServeProtocolTest, ParseErrorsNameTheOffendingToken) {
-  auto unknown = ParseRequestLine("bogus 1,2");
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_NE(unknown.status().message().find("bogus"), std::string::npos);
-
-  auto extra = ParseRequestLine("rebuild now");
-  ASSERT_FALSE(extra.ok());
-  EXPECT_NE(extra.status().message().find("rebuild"), std::string::npos);
-
-  EXPECT_FALSE(ParseRequestLine("").ok());
-  EXPECT_FALSE(ParseRequestLine("annotate").ok());
-  EXPECT_FALSE(ParseRequestLine("annotate 1").ok());        // not X,Y
-  EXPECT_FALSE(ParseRequestLine("annotate 1,juice").ok());  // bad number
-  EXPECT_FALSE(ParseRequestLine("journey 1,2;3,4").ok());   // missing T
-  EXPECT_FALSE(ParseRequestLine("query-unit banana").ok());
-}
-
 TEST(ServeProtocolTest, FormatsMachineParsableResponses) {
-  AnnotateResult annotated;
-  annotated.snapshot_version = 3;
-  annotated.stays = {StayPoint(Vec2{1.0, 2.0}, 0,
-                               SemanticProperty::FromBits(0x5)),
-                     StayPoint(Vec2{3.0, 4.0}, 0)};
-  annotated.units = {7, kNoUnit};
-  EXPECT_EQ(FormatAnnotateResponse(annotated),
-            "ok annotate v=3 n=2 units=7,- sem=0x5,0x0");
+  std::vector<uint32_t> ids = {4, 9};
+  PatternQueryResult query;
+  query.snapshot_version = 3;
+  query.unit = 7;
+  query.pattern_ids = ids;
+  EXPECT_EQ(FormatQueryResponse(query), "ok query v=3 unit=7 patterns=4,9");
 
   RebuildResult rebuilt;
   rebuilt.version = 2;
@@ -181,11 +140,6 @@ TEST(ServeProtocolTest, FormatsMachineParsableResponses) {
   rebuilt.seconds = 0.5;
   EXPECT_EQ(FormatRebuildResponse(rebuilt),
             "ok rebuild v=2 units=10 patterns=4 seconds=0.500");
-
-  std::string error =
-      FormatErrorResponse(Status::Unavailable("queue full"));
-  EXPECT_EQ(error.rfind("err ", 0), 0u) << error;
-  EXPECT_NE(error.find("queue full"), std::string::npos);
 }
 
 }  // namespace

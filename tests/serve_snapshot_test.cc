@@ -1,4 +1,5 @@
-// SnapshotStore lifecycle under concurrency: readers acquiring through
+// Snapshot store lifecycle under concurrency (the K=1 store; every
+// deployment's lanes are the same RCU cell): readers acquiring through
 // the RCU swap must always see a fully built, correctly stamped snapshot,
 // across any number of concurrent publishes, and every generation must be
 // reclaimed exactly when its last reader lets go. Run under the tsan
@@ -19,6 +20,7 @@
 namespace csd::serve {
 namespace {
 
+using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
 using serve::testing::StressScale;
 using serve::testing::TestSnapshotOptions;
@@ -31,10 +33,10 @@ TEST(CsdSnapshotTest, BuildIsConsistentAndVersionedByPublish) {
   EXPECT_TRUE(snapshot->CheckIntegrity());
   EXPECT_GT(snapshot->diagram().num_units(), 0u);
 
-  SnapshotStore store;
+  ShardedSnapshotStore store(1);
   EXPECT_EQ(store.Acquire(), nullptr);
   EXPECT_EQ(store.current_version(), 0u);
-  EXPECT_EQ(store.Publish(snapshot), 1u);
+  EXPECT_EQ(store.PublishAll(snapshot), 1u);
   EXPECT_EQ(snapshot->version(), 1u);
   EXPECT_TRUE(snapshot->CheckIntegrity());
   EXPECT_EQ(store.Acquire().get(), snapshot.get());
@@ -70,12 +72,12 @@ TEST(CsdSnapshotTest, UnitPatternIndexMatchesRecognizer) {
 
 TEST(SnapshotStoreTest, PublishesAreMonotonicAndOldGenerationsSurvive) {
   auto dataset = MakeTestDataset();
-  SnapshotStore store(std::make_shared<CsdSnapshot>(
+  K1Store store(std::make_shared<CsdSnapshot>(
       dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
   EXPECT_EQ(store.current_version(), 1u);
 
   std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
-  EXPECT_EQ(store.Publish(std::make_shared<CsdSnapshot>(
+  EXPECT_EQ(store.PublishAll(std::make_shared<CsdSnapshot>(
                 dataset, TestSnapshotOptions(/*mine_patterns=*/false))),
             2u);
   // The pinned generation is intact after being superseded.
@@ -88,10 +90,10 @@ TEST(SnapshotStoreTest, ReclaimsGenerationsWithLastReader) {
   uint64_t before = CsdSnapshot::LiveCount();
   auto dataset = MakeTestDataset();
   {
-    SnapshotStore store(std::make_shared<CsdSnapshot>(
+    K1Store store(std::make_shared<CsdSnapshot>(
         dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
     std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
-    store.Publish(std::make_shared<CsdSnapshot>(
+    store.PublishAll(std::make_shared<CsdSnapshot>(
         dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
     EXPECT_EQ(CsdSnapshot::LiveCount(), before + 2)
         << "superseded generation must stay alive while pinned";
@@ -112,7 +114,7 @@ TEST(SnapshotStoreTest, ConcurrentReadersAcrossPublishes) {
   SnapshotOptions options = TestSnapshotOptions(/*mine_patterns=*/false);
   uint64_t live_before = CsdSnapshot::LiveCount();
   {
-    SnapshotStore store(std::make_shared<CsdSnapshot>(dataset, options));
+    K1Store store(std::make_shared<CsdSnapshot>(dataset, options));
 
     const size_t kReaders = 4;
     const size_t kPublishes = 3 * StressScale();
@@ -141,7 +143,7 @@ TEST(SnapshotStoreTest, ConcurrentReadersAcrossPublishes) {
     }
 
     for (size_t p = 0; p < kPublishes; ++p) {
-      uint64_t version = store.Publish(
+      uint64_t version = store.PublishAll(
           std::make_shared<CsdSnapshot>(dataset, options));
       EXPECT_EQ(version, p + 2);
     }

@@ -5,6 +5,8 @@
 #include <memory>
 
 #include "serve/snapshot.h"
+#include "serve/snapshot_store.h"
+#include "shard/sharded_build.h"
 #include "synth/city_generator.h"
 #include "synth/trip_generator.h"
 
@@ -39,6 +41,24 @@ inline SnapshotOptions TestSnapshotOptions(bool mine_patterns = true) {
   options.mine_patterns = mine_patterns;
   return options;
 }
+
+/// The monolithic serving case as a store: one shard lane beside the
+/// global lane, plus the 1×1 plan a ServeService over it routes by —
+/// `ServeService service(&store, store.plan, options)`.
+class K1Store : public ShardedSnapshotStore {
+ public:
+  /// Publishes `initial` to both lanes as version 1.
+  explicit K1Store(std::shared_ptr<CsdSnapshot> initial)
+      : K1Store(initial->shared_data()) {
+    PublishAll(std::move(initial));
+  }
+  /// An empty store (version 0) over `data`'s city.
+  explicit K1Store(const std::shared_ptr<const ServeDataset>& data)
+      : ShardedSnapshotStore(1),
+        plan(shard::PlanForCity(data->pois, 1, CsdBuildOptions{})) {}
+
+  const shard::ShardPlan plan;
+};
 
 /// Iteration multiplier for the concurrency tests: 1 normally, larger
 /// under CSD_SERVE_STRESS (check.sh sets it for the dedicated tsan

@@ -1,6 +1,7 @@
-// The sharded serving path end to end: one shared version counter across
-// the global and per-shard lanes, geo-routed annotation byte-identical to
-// the monolithic path, straddling batches fanned out and reassembled in
+// The serving path end to end: one shared version counter across the
+// global and per-shard lanes, geo-routed annotation byte-identical to the
+// voting recognizer at K=4 and at K=1 (the monolithic deployment),
+// straddling batches fanned out and reassembled in
 // request order, per-shard rebuilds publishing exactly one lane — and the
 // isolation claim the whole design exists for: a shard whose rebuild lane
 // is stuck (driven by the serve/rebuild failpoint) never blocks
@@ -68,11 +69,46 @@ class ShardedServeTest : public ::testing::Test {
   }
 
   AnnotateResult Annotate(std::vector<StayPoint> stays) {
-    auto future_or = service_->AnnotateStayPoints(std::move(stays));
+    return AnnotateWith(*service_, std::move(stays));
+  }
+
+  static AnnotateResult AnnotateWith(ServeService& service,
+                                     std::vector<StayPoint> stays) {
+    auto future_or = service.AnnotateStayPoints(std::move(stays));
     EXPECT_TRUE(future_or.ok()) << future_or.status().message();
     std::future<AnnotateResult> future = std::move(future_or).value();
     EXPECT_EQ(future.wait_for(kResolveBound), std::future_status::ready);
     return future.get();
+  }
+
+  /// Real stays from the dataset, batched as a client would: every batch
+  /// crosses tiles whenever the underlying journeys do. Each answer must
+  /// equal the scalar voting recognizer of a monolithic snapshot of the
+  /// same dataset — the reference oracle, not another serving path.
+  void ExpectMatchesRecognizerOracle(ServeService& service) {
+    const CsdSnapshot oracle(dataset_, options_);
+    const size_t kBatch = 8;
+    size_t compared = 0;
+    for (size_t base = 0; base + kBatch <= dataset_->stays.size() &&
+                          compared < 400;
+         base += kBatch) {
+      std::vector<StayPoint> stays(dataset_->stays.begin() + base,
+                                   dataset_->stays.begin() + base + kBatch);
+      AnnotateResult got = AnnotateWith(service, stays);
+      ASSERT_TRUE(got.status.ok());
+      ASSERT_EQ(got.stays.size(), stays.size());
+      ASSERT_EQ(got.units.size(), stays.size());
+      for (size_t i = 0; i < stays.size(); ++i) {
+        UnitId unit = kNoUnit;
+        SemanticProperty semantic =
+            oracle.recognizer().RecognizeWithUnit(stays[i].position, &unit);
+        ASSERT_EQ(got.units[i], unit) << "batch at " << base << ", stay " << i;
+        ASSERT_EQ(got.stays[i].semantic, semantic)
+            << "batch at " << base << ", stay " << i;
+      }
+      compared += kBatch;
+    }
+    ASSERT_GT(compared, 100u);
   }
 
   std::shared_ptr<const ServeDataset> dataset_;
@@ -116,37 +152,34 @@ TEST(ShardedSnapshotStoreTest, LanesShareOneMonotonicVersionCounter) {
 }
 
 TEST_F(ShardedServeTest, GeoRoutedAnnotationMatchesMonolithicService) {
-  SnapshotStore mono_store(
-      std::make_shared<CsdSnapshot>(dataset_, options_));
+  ExpectMatchesRecognizerOracle(*service_);
+}
+
+TEST_F(ShardedServeTest, K1ServiceMatchesRecognizerOracle) {
+  // K=1 is the monolithic deployment: one shard lane, the same geo-routed
+  // path, and a plan-mode snapshot built by the monolithic stage pass.
+  shard::ShardPlan plan =
+      shard::PlanForCity(dataset_->pois, 1, options_.miner.csd);
+  ShardedSnapshotStore store(plan.num_shards());
+  store.PublishAll(std::make_shared<CsdSnapshot>(dataset_, options_, plan));
   ServeOptions serve_options;
   serve_options.snapshot = options_;
-  ServeService mono(&mono_store, serve_options);
+  ServeService service(&store, plan, serve_options);
+  ExpectMatchesRecognizerOracle(service);
 
-  // Real stays from the dataset, batched as the protocol would: every
-  // batch crosses tiles whenever the underlying journeys do.
-  const size_t kBatch = 8;
-  size_t compared = 0;
-  for (size_t base = 0; base + kBatch <= dataset_->stays.size() &&
-                        compared < 400;
-       base += kBatch) {
-    std::vector<StayPoint> stays(dataset_->stays.begin() + base,
-                                 dataset_->stays.begin() + base + kBatch);
-    auto mono_future_or = mono.AnnotateStayPoints(stays);
-    ASSERT_TRUE(mono_future_or.ok());
-    AnnotateResult expected = std::move(mono_future_or).value().get();
-    AnnotateResult got = Annotate(stays);
-    ASSERT_TRUE(expected.status.ok());
-    ASSERT_TRUE(got.status.ok());
-    ASSERT_EQ(expected.units, got.units) << "batch at " << base;
-    ASSERT_EQ(expected.stays.size(), got.stays.size());
-    for (size_t i = 0; i < expected.stays.size(); ++i) {
-      ASSERT_EQ(expected.stays[i].semantic, got.stays[i].semantic)
-          << "batch at " << base << ", stay " << i;
-    }
-    compared += kBatch;
-  }
-  ASSERT_GT(compared, 100u);
-  mono.Shutdown();
+  // A full rebuild republishes a K=1 plan-mode snapshot whose one shard
+  // annotates through the city-wide annotator (no second full-city grid).
+  auto rebuild_or = service.TriggerRebuild();
+  ASSERT_TRUE(rebuild_or.ok()) << rebuild_or.status().message();
+  RebuildResult rebuilt = std::move(rebuild_or).value().get();
+  ASSERT_TRUE(rebuilt.status.ok()) << rebuilt.status.message();
+  std::shared_ptr<const CsdSnapshot> snapshot = store.Acquire();
+  ASSERT_EQ(snapshot->version(), rebuilt.version);
+  ASSERT_NE(snapshot->plan(), nullptr);
+  EXPECT_EQ(&snapshot->annotator_for_shard(0), &snapshot->annotator());
+  EXPECT_EQ(store.AcquireShard(0), snapshot);
+  ExpectMatchesRecognizerOracle(service);
+  service.Shutdown();
 }
 
 TEST_F(ShardedServeTest, StraddlingBatchFansOutAndPreservesRequestOrder) {
@@ -197,13 +230,8 @@ TEST_F(ShardedServeTest, ShardRebuildPublishesExactlyOneLane) {
   EXPECT_EQ(Annotate({StayInShard(1)}).snapshot_version, 2u);
   EXPECT_EQ(Annotate({StayInShard(3)}).snapshot_version, 1u);
 
-  // Out-of-range shard and non-sharded services are rejected up front.
+  // An out-of-range shard is rejected up front.
   EXPECT_FALSE(service_->TriggerShardRebuild(kShards).ok());
-  SnapshotStore mono_store(
-      std::make_shared<CsdSnapshot>(dataset_, options_));
-  ServeService mono(&mono_store);
-  EXPECT_FALSE(mono.TriggerShardRebuild(0).ok());
-  mono.Shutdown();
 }
 
 TEST_F(ShardedServeTest, RebuildingShardNeverBlocksOtherShards) {
