@@ -623,8 +623,9 @@ void RunShardedPhase(const LoadConfig& config,
   snapshot_options.miner.extraction.density_threshold = 0.002;
 
   Stopwatch mono_watch;
-  auto monolithic =
-      std::make_shared<serve::CsdSnapshot>(dataset, snapshot_options);
+  auto monolithic = std::make_shared<serve::CsdSnapshot>(
+      dataset, snapshot_options,
+      shard::PlanForCity(dataset->pois, 1, snapshot_options.miner.csd));
   double monolithic_seconds = mono_watch.ElapsedSeconds();
   size_t mono_units = monolithic->diagram().num_units();
   size_t mono_patterns = monolithic->patterns().size();
@@ -662,8 +663,9 @@ void RunShardedPhase(const LoadConfig& config,
   serve::ServeService service(&store, plan, options);
 
   // Single-tile rebuild: the operational unit of freshness in a sharded
-  // deployment. Timed via the rebuild lane's own stopwatch (queue wait
-  // excluded — the lane is idle here).
+  // deployment — here the lane's in-tile engine's first, full build.
+  // Timed via the rebuild lane's own stopwatch (queue wait excluded — the
+  // lane is idle here).
   double shard_rebuild_seconds = 0.0;
   auto rebuild_or = service.TriggerShardRebuild(0);
   if (!rebuild_or.ok()) {
@@ -747,9 +749,10 @@ ReplayConfig MakeStreamReplayConfig(const CityConfig& city_config) {
 /// incremental_rebuild_speedup = checkpoint_seconds / incremental_seconds,
 /// is the freshness win of republishing only what the delta touched. A
 /// second replay wave then re-dirties the same tiles with warm in-tile
-/// engines and time-decayed popularity; in_tile_rebuild_speedup =
-/// cold_tick_seconds / warm_tick_seconds is the further win of absorbing
-/// a delta into cached tile structure instead of re-staging the tile.
+/// engines and time-decayed popularity; in_tile_rebuild_speedup = mean
+/// engine Apply seconds per full tile stage / per in-tile absorb is the
+/// further win of absorbing a delta into cached tile structure instead of
+/// re-staging the tile.
 void RunStreamPhase(const LoadConfig& config,
                     std::vector<PipelineBenchRun>* runs,
                     uint64_t* total_failures) {
@@ -898,15 +901,18 @@ void RunStreamPhase(const LoadConfig& config,
   }
   // The headline compares the stage work the in-tile path changes:
   // average engine seconds per full tile stage (wave 1's cold builds)
-  // over average engine seconds per in-tile absorb (this tick).
-  stream::InTileBuilder::Stats engine = ingestor.in_tile_stats();
+  // over average engine seconds per in-tile absorb (this tick), summed
+  // over both shard-rebuild ticks (the checkpoint runs no engine).
+  size_t fallbacks = incremental.shards_fallback + in_tile.shards_fallback;
+  size_t absorbs = incremental.shards_in_tile + in_tile.shards_in_tile;
+  double fallback_seconds =
+      incremental.fallback_apply_seconds + in_tile.fallback_apply_seconds;
+  double absorb_seconds =
+      incremental.in_tile_apply_seconds + in_tile.in_tile_apply_seconds;
   double in_tile_speedup =
-      engine.in_tile > 0 && engine.fallbacks > 0 &&
-              engine.in_tile_seconds > 0.0
-          ? (engine.fallback_seconds /
-             static_cast<double>(engine.fallbacks)) /
-                (engine.in_tile_seconds /
-                 static_cast<double>(engine.in_tile))
+      absorbs > 0 && fallbacks > 0 && absorb_seconds > 0.0
+          ? (fallback_seconds / static_cast<double>(fallbacks)) /
+                (absorb_seconds / static_cast<double>(absorbs))
           : 0.0;
   std::printf("in-tile publish: v%llu, %zu tiles (%zu in-tile / %zu "
               "fallback) in %.2fs (stage %.0f us full vs %.0f us absorb "
@@ -914,13 +920,12 @@ void RunStreamPhase(const LoadConfig& config,
               static_cast<unsigned long long>(in_tile.version),
               in_tile.shards_rebuilt, in_tile.shards_in_tile,
               in_tile.shards_fallback, in_tile.seconds,
-              engine.fallbacks > 0
-                  ? 1e6 * engine.fallback_seconds /
-                        static_cast<double>(engine.fallbacks)
+              fallbacks > 0
+                  ? 1e6 * fallback_seconds / static_cast<double>(fallbacks)
                   : 0.0,
-              engine.in_tile > 0 ? 1e6 * engine.in_tile_seconds /
-                                       static_cast<double>(engine.in_tile)
-                                 : 0.0,
+              absorbs > 0
+                  ? 1e6 * absorb_seconds / static_cast<double>(absorbs)
+                  : 0.0,
               in_tile_speedup,
               snapshot_options.miner.csd.decay.half_life_s);
   service.Shutdown();

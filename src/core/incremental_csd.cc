@@ -39,6 +39,18 @@ bool SameStay(const StayPoint& a, const StayPoint& b) {
          a.position.y == b.position.y;
 }
 
+/// Every POI field a construction stage reads: the id, the position the
+/// range queries and Eq. 3 see, and the category purification and
+/// merging compare.
+bool SamePois(const std::vector<Poi>& a, const std::vector<Poi>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Poi& x, const Poi& y) {
+                      return x.id == y.id && x.position.x == y.position.x &&
+                             x.position.y == y.position.y &&
+                             x.minor == y.minor;
+                    });
+}
+
 /// Builds a CSR of per-POI in-range lists over the tile database, in
 /// ForEachInRange enumeration order (the order every injected-cache
 /// consumer expects). `emit` filters/transforms one (pid, found) pair.
@@ -117,10 +129,15 @@ void IncrementalTileCsd::BuildConnectivity(const PoiDatabase& pois) {
                 });
 
   // Components of the ε∪merge graph — the independence boundaries every
-  // construction stage respects (see the class comment).
+  // construction stage respects (see the class comment). When ε is no
+  // wider than the merge distance every ε edge is also a merge edge (both
+  // lists test the same squared distance), so the merge lists suffice.
+  const bool eps_in_merge = options_.build.clustering.eps <=
+                            options_.build.merging.neighbor_distance;
   UnionFind uf(n);
   for (size_t pid = 0; pid < n; ++pid) {
-    for (uint32_t i = eps_offsets_[pid]; i < eps_offsets_[pid + 1]; ++i) {
+    for (uint32_t i = eps_offsets_[pid];
+         !eps_in_merge && i < eps_offsets_[pid + 1]; ++i) {
       uf.Union(pid, eps_flat_[i]);
     }
     for (uint32_t i = merge_offsets_[pid]; i < merge_offsets_[pid + 1]; ++i) {
@@ -149,8 +166,14 @@ CitySemanticDiagram IncrementalTileCsd::Apply(
   st = TickStats();
   size_t n = pois.size();
 
-  bool full = generations_ == 0 || component_of_.size() != n;
-  if (component_of_.size() != n) BuildConnectivity(pois);
+  // The connectivity CSRs and every cached cluster are only valid for the
+  // POI set they were built over; a moved, re-categorised, added or
+  // dropped POI (a new dataset cut into the same tile) rebuilds them.
+  bool full = generations_ == 0 || !SamePois(applied_pois_, pois.pois());
+  if (full) {
+    BuildConnectivity(pois);
+    applied_pois_ = pois.pois();
+  }
 
   // Stay diff against the last applied generation. The canonical stream
   // order makes the old list a subsequence of the new one; anything else

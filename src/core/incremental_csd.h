@@ -17,8 +17,8 @@ namespace csd {
 /// insertions (and popularity decay) without a full tile recluster.
 ///
 /// The engine is built around the ε∪merge connectivity structure of the
-/// tile's POI set, which is FIXED across generations (streams add stays,
-/// never POIs): two POIs are connected when one's ε_p-neighborhood or
+/// tile's POI set, which streams never change (they add stays, never
+/// POIs): two POIs are connected when one's ε_p-neighborhood or
 /// merge-proximity list contains the other. Algorithm 1's greedy
 /// expansion never crosses an ε-component boundary and merge edges never
 /// cross a component of the union graph, so each connected component
@@ -47,8 +47,8 @@ namespace csd {
 /// falls back to re-running every stage — still against the cached
 /// ε/merge CSRs, so even the fallback skips all POI-POI range queries.
 ///
-/// Not thread-safe; the per-shard rebuild lane serializes callers
-/// (stream/in_tile_builder.h wraps one engine per shard in a mutex).
+/// Not thread-safe: each per-shard rebuild lane of serve::ServeService
+/// owns one engine and is its only caller.
 class IncrementalTileCsd {
  public:
   struct Options {
@@ -71,14 +71,15 @@ class IncrementalTileCsd {
   explicit IncrementalTileCsd(Options options);
 
   /// Absorbs one tile-local generation and returns its diagram, built
-  /// over `pois` (which must outlive the returned diagram). `pois` must
-  /// hold the same POIs in the same order on every call; `stays` must be
-  /// a supersequence of the previously applied generation's stays (the
-  /// canonical stream order guarantees it — delta_accumulator.h). If it
-  /// is not, the engine heals itself with a full rebuild instead of
-  /// trusting stale state. `decay_as_of` pins the decay instant (0 =
-  /// newest stay, resolved here, tile-locally — pass the generation's
-  /// city-wide watermark to match a city-wide build).
+  /// over `pois` (which must outlive the returned diagram). Incremental
+  /// absorbs need the same POIs in the same order as the previous call,
+  /// and `stays` a supersequence of the previously applied generation's
+  /// stays (the canonical stream order guarantees it —
+  /// delta_accumulator.h). If either does not hold, the engine heals
+  /// itself with a full rebuild instead of trusting stale state.
+  /// `decay_as_of` pins the decay instant (0 = newest stay, resolved
+  /// here, tile-locally — pass the generation's city-wide watermark to
+  /// match a city-wide build).
   CitySemanticDiagram Apply(const PoiDatabase& pois,
                             const std::vector<StayPoint>& stays,
                             Timestamp decay_as_of = 0,
@@ -116,7 +117,9 @@ class IncrementalTileCsd {
   Options options_;
   uint64_t generations_ = 0;
 
-  // Fixed per tile, built on the first Apply.
+  // Fixed per POI set, built on the first Apply and whenever the POI
+  // records change.
+  std::vector<Poi> applied_pois_;
   std::vector<uint32_t> eps_offsets_;
   std::vector<PoiId> eps_flat_;
   std::vector<uint32_t> merge_offsets_;

@@ -92,6 +92,13 @@ struct RebuildResult {
   size_t num_units = 0;
   size_t num_patterns = 0;
   double seconds = 0.0;
+  /// Shard rebuilds only: whether the lane's in-tile engine absorbed the
+  /// delta into its cached tile structure (false: it re-staged the whole
+  /// tile — a first build, a changed POI set, or churn past the
+  /// threshold), and the seconds its Apply took (the stage work alone,
+  /// without the dataset cut or the snapshot shell).
+  bool in_tile = false;
+  double apply_seconds = 0.0;
 };
 
 }  // namespace csd::serve

@@ -432,12 +432,12 @@ void ServeService::RebuildMain(RebuildLane* lane) {
     RebuildJob job = std::move(lane->queue.front());
     lane->queue.pop_front();
     lock.unlock();
-    RunRebuildJob(std::move(job));
+    RunRebuildJob(lane, std::move(job));
     lock.lock();
   }
 }
 
-void ServeService::RunRebuildJob(RebuildJob job) {
+void ServeService::RunRebuildJob(RebuildLane* lane, RebuildJob job) {
   CSD_TRACE_SPAN("serve/rebuild");
   Stopwatch watch;
   RebuildResult result;
@@ -451,32 +451,48 @@ void ServeService::RunRebuildJob(RebuildJob job) {
       std::shared_ptr<const ServeDataset> data =
           job.data != nullptr ? std::move(job.data)
                               : store_->Acquire()->shared_data();
+      std::shared_ptr<CsdSnapshot> snapshot;
       if (job.shard != kGlobalLane) {
-        // Tile-local rebuild: the installed delta-aware builder gets the
-        // first shot (it may absorb the delta into cached per-tile stage
-        // state); when it declines — or none is installed — cut the
-        // shard's halo slice and build a small monolithic snapshot for
-        // that lane only (~1/K the work of a city-wide build).
+        // Tile-local rebuild: cut the shard's halo slice (~1/K of the
+        // city) and absorb it into the lane's in-tile engine, which
+        // re-stages only what the delta since its last generation
+        // touched, then wrap the serving shell around its diagram.
         size_t shard = static_cast<size_t>(job.shard);
-        std::shared_ptr<CsdSnapshot> snapshot;
-        if (tile_builder_) snapshot = tile_builder_(shard, data);
-        if (snapshot == nullptr) {
-          snapshot = std::make_shared<CsdSnapshot>(
-              MakeShardDataset(*data, plan_, shard), options_.snapshot);
+        std::shared_ptr<const ServeDataset> tile =
+            MakeShardDataset(*data, plan_, shard);
+        if (lane->engine == nullptr) {
+          IncrementalTileCsd::Options engine_options;
+          engine_options.build = options_.snapshot.miner.csd;
+          lane->engine = std::make_unique<IncrementalTileCsd>(engine_options);
         }
+        IncrementalTileCsd::TickStats tick;
+        Stopwatch apply_watch;
+        CitySemanticDiagram diagram = [&] {
+          try {
+            return lane->engine->Apply(tile->pois, tile->stays,
+                                       tile->decay_as_of, &tick);
+          } catch (...) {
+            // A half-applied tick leaves the engine's caches unspecified;
+            // drop them so the next attempt starts from a full build.
+            lane->engine.reset();
+            throw;
+          }
+        }();
+        result.apply_seconds = apply_watch.ElapsedSeconds();
+        result.in_tile = tick.incremental;
+        snapshot = std::make_shared<CsdSnapshot>(tile, options_.snapshot,
+                                                 std::move(diagram));
         result.version = store_->PublishShard(shard, snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
       } else {
         // Full rebuild: a plan-mode snapshot (tiled diagram build and
         // per-shard annotators; the monolithic pass at K=1) published to
         // every lane.
-        auto snapshot = std::make_shared<CsdSnapshot>(
-            std::move(data), options_.snapshot, plan_);
+        snapshot = std::make_shared<CsdSnapshot>(std::move(data),
+                                                 options_.snapshot, plan_);
         result.version = store_->PublishAll(snapshot);
-        result.num_units = snapshot->diagram().units().size();
-        result.num_patterns = snapshot->patterns().size();
       }
+      result.num_units = snapshot->diagram().units().size();
+      result.num_patterns = snapshot->patterns().size();
       RebuildsCounter().Increment();
     } catch (const std::exception& e) {
       status = Status::Internal(std::string("rebuild failed: ") + e.what());

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/incremental_csd.h"
 #include "serve/admission.h"
 #include "serve/batcher.h"
 #include "serve/request.h"
@@ -37,8 +38,10 @@ struct ServeOptions {
 ///
 ///   client ──Admit──> RequestBatcher ──batch──> geo-route ──> pool
 ///                │                                              │
-///                └─rebuild lanes──> CsdSnapshot build      promises
-///                                     ──> PublishAll / PublishShard (RCU)
+///                ├─global lane──> plan-mode CsdSnapshot     promises
+///                │                  ──> PublishAll (RCU)
+///                └─shard lane s──> tile cut ──> lane s's IncrementalTileCsd
+///                                   ──> adopted CsdSnapshot ──> PublishShard
 ///
 /// Annotation batches are geo-routed by the shard plan: each stay is
 /// annotated against the snapshot of the lane owning its position, a
@@ -55,9 +58,10 @@ class ServeService {
   /// Annotation and queries require a published generation; TriggerRebuild
   /// with an explicit dataset works on an empty store (bootstrap). Full
   /// rebuilds publish plan-mode snapshots to every lane (PublishAll);
-  /// TriggerShardRebuild rebuilds one tile on that shard's own rebuild
-  /// thread, so a rebuilding tile never stalls annotation routed to any
-  /// other shard. Pattern queries run against the global lane.
+  /// TriggerShardRebuild rebuilds one tile through that shard's own
+  /// rebuild thread and in-tile engine, so a rebuilding tile never stalls
+  /// annotation routed to any other shard. Pattern queries run against
+  /// the global lane.
   ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
                ServeOptions options = {});
 
@@ -111,30 +115,22 @@ class ServeService {
 
   /// Queues a rebuild of shard `shard`'s tile on that shard's dedicated
   /// rebuild lane. The tile dataset is cut from `data` (nullptr re-cuts
-  /// from the global lane's current dataset) by MakeShardDataset, built
-  /// as a tile-local snapshot, and published to that shard's lane alone
-  /// — other shards and the global lane are untouched, and annotation
-  /// routed to them is never blocked.
+  /// from the global lane's current dataset) by MakeShardDataset and
+  /// absorbed by the lane's IncrementalTileCsd (core/incremental_csd.h):
+  /// the first build, a changed POI set or churn past the threshold
+  /// re-stages the whole tile; a streamed delta re-runs only its dirty
+  /// components. With decay off the diagram equals a from-scratch build
+  /// of the tile byte for byte (docs/streaming.md bounds the decay-on
+  /// case). The snapshot is published to that shard's lane alone —
+  /// other shards and the global lane are untouched, and annotation
+  /// routed to them is never blocked. A build that throws drops the
+  /// lane's engine (the next rebuild starts from a full build) and keeps
+  /// the last good snapshot serving.
   Result<std::future<RebuildResult>> TriggerShardRebuild(
       size_t shard, std::shared_ptr<const ServeDataset> data = nullptr);
 
-  /// Delta-aware tile builds: when set, a shard rebuild first offers the
-  /// job to this hook on the shard's lane thread. Returning a snapshot
-  /// publishes it to the shard's lane as usual; returning nullptr (in-tile
-  /// state can't absorb this delta) falls back to the default full tile
-  /// build, and a throw fails the rebuild like any other build exception
-  /// (the lane keeps serving its last good snapshot). The streaming layer
-  /// installs its incremental engine
-  /// here (stream/in_tile_builder.h). Not synchronized against in-flight
-  /// rebuilds — install before the first TriggerShardRebuild.
-  using TileSnapshotBuilder = std::function<std::shared_ptr<CsdSnapshot>(
-      size_t shard, const std::shared_ptr<const ServeDataset>& data)>;
-  void SetTileSnapshotBuilder(TileSnapshotBuilder builder) {
-    tile_builder_ = std::move(builder);
-  }
-
-  /// The options TriggerRebuild snapshots are built with (the streaming
-  /// layer builds its own tile snapshots and must match them).
+  /// The options every rebuild builds with (the streaming layer's delta
+  /// field decays on the same clock).
   const SnapshotOptions& snapshot_options() const {
     return options_.snapshot;
   }
@@ -182,6 +178,9 @@ class ServeService {
     std::deque<RebuildJob> queue;
     bool stop = false;
     std::thread thread;
+    /// Shard lanes: the tile's in-tile engine, created on the first
+    /// rebuild. Only this lane's thread touches it, so it needs no lock.
+    std::unique_ptr<IncrementalTileCsd> engine;
   };
 
   /// Shared front door of both annotate submission flavors: validates,
@@ -195,7 +194,7 @@ class ServeService {
   void ExecuteBatch(std::vector<AnnotateRequest> batch);
   Result<std::future<RebuildResult>> EnqueueRebuild(RebuildJob job);
   void RebuildMain(RebuildLane* lane);
-  void RunRebuildJob(RebuildJob job);
+  void RunRebuildJob(RebuildLane* lane, RebuildJob job);
 
   ShardedSnapshotStore* store_;
   shard::ShardPlan plan_;
@@ -204,8 +203,6 @@ class ServeService {
 
   /// [0] = global; [1 + s] = shard s.
   std::vector<std::unique_ptr<RebuildLane>> rebuild_lanes_;
-
-  TileSnapshotBuilder tile_builder_;
 
   std::mutex shutdown_mutex_;
   bool shut_down_ = false;

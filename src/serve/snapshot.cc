@@ -92,18 +92,6 @@ void AdoptDatasetDecayInstant(SnapshotOptions& opts,
 }  // namespace
 
 CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
-                         const SnapshotOptions& options)
-    : data_(std::move(data)), stamp_(kLiveStamp) {
-  CSD_CHECK(data_ != nullptr);
-  CSD_TRACE_SPAN("serve/snapshot_build");
-  SnapshotOptions opts = options;
-  opts.miner.build_roi_baseline = false;  // serving never queries ROI
-  AdoptDatasetDecayInstant(opts, *data_);
-  BuildMonolithic(opts);
-  FinishInit(opts);
-}
-
-CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
                          const SnapshotOptions& options,
                          const shard::ShardPlan& plan)
     : data_(std::move(data)), stamp_(kLiveStamp) {
@@ -112,10 +100,11 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   plan_ = std::make_unique<shard::ShardPlan>(plan);
 
   SnapshotOptions opts = options;
-  opts.miner.build_roi_baseline = false;
+  opts.miner.build_roi_baseline = false;  // serving never queries ROI
   AdoptDatasetDecayInstant(opts, *data_);
-  if (plan_->num_shards() == 1) {  // K=1: the monolithic case
-    BuildMonolithic(opts);
+  if (plan_->num_shards() == 1) {  // K=1: the monolithic stage pass
+    miner_ = std::make_unique<PervasiveMiner>(&data_->pois, data_->stays,
+                                              opts.miner);
     FinishInit(opts);
     return;
   }
@@ -132,7 +121,6 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   // candidate within R₃σ of a tile point is inside the halo.
   CSD_CHECK_MSG(plan_->halo() >= radius,
                 "shard halo narrower than the annotation radius");
-  annotator_ = std::make_unique<BatchCsdAnnotator>(&miner_->diagram(), radius);
   shard_annotators_.reserve(plan_->num_shards());
   for (size_t s = 0; s < plan_->num_shards(); ++s) {
     BoundingBox halo = plan_->HaloBounds(s);
@@ -158,19 +146,12 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   opts.miner.build_roi_baseline = false;
   miner_ = std::make_unique<PervasiveMiner>(&data_->pois, data_->stays,
                                             opts.miner, std::move(diagram));
-  annotator_ = std::make_unique<BatchCsdAnnotator>(
-      &miner_->diagram(), miner_->csd_recognizer().radius());
   FinishInit(opts);
 }
 
-void CsdSnapshot::BuildMonolithic(const SnapshotOptions& options) {
-  miner_ = std::make_unique<PervasiveMiner>(&data_->pois, data_->stays,
-                                            options.miner);
+void CsdSnapshot::FinishInit(const SnapshotOptions& options) {
   annotator_ = std::make_unique<BatchCsdAnnotator>(
       &miner_->diagram(), miner_->csd_recognizer().radius());
-}
-
-void CsdSnapshot::FinishInit(const SnapshotOptions& options) {
   if (options.mine_patterns) {
     patterns_ = miner_->MinePatterns(data_->trajectories);
   }

@@ -51,9 +51,9 @@ std::shared_ptr<const ServeDataset> MakeServeDataset(
 /// Cuts one shard's tile-local dataset out of a full-city generation:
 /// POIs and stays inside the shard's halo bounds (re-numbered densely, in
 /// ascending global id / input order), and the trajectories owning at
-/// least one stay inside the tile proper. Feeding the result to the plain
-/// CsdSnapshot ctor gives a tile-local generation whose build cost is
-/// ~1/K of the city's — the per-shard rebuild lane of ShardedSnapshotStore.
+/// least one stay inside the tile proper. A shard rebuild lane builds its
+/// tile-local generation from the result at ~1/K of the city's cost
+/// (ServeService::TriggerShardRebuild).
 /// Tile-local annotation near the halo fringe may differ from the
 /// full-city build (eps-chains can cross halos); the byte-identity
 /// guarantee belongs to the full sharded build, not to tile rebuilds.
@@ -81,28 +81,27 @@ struct SnapshotOptions {
 /// pointers into the miner, so the object must never relocate.
 class CsdSnapshot {
  public:
-  CsdSnapshot(std::shared_ptr<const ServeDataset> data,
-              const SnapshotOptions& options);
-
-  /// Plan-mode build, the one a ServeService publishes: the diagram comes
-  /// from shard::ShardedCsdBuild over `plan` (byte-identical to the
-  /// monolithic build, constructed tile-by-tile), pattern mining runs with
-  /// num_shards PrefixSpan lanes, and a per-shard subset annotator is
-  /// built for every tile so geo-routed batches touch only their shard's
-  /// halo slice of the grid. A 1×1 plan is the monolithic case: it runs
-  /// the monolithic stage pass (a one-tile build would be one serial pool
-  /// task) and its one shard annotates through the city-wide annotator
-  /// (a subset annotator would be a second full-city grid). The ROI
-  /// baseline recognizer is skipped in every snapshot ctor (serving never
-  /// annotates through it), so build timings compare like with like.
+  /// The build constructor, the one a full ServeService rebuild
+  /// publishes: the diagram comes from shard::ShardedCsdBuild over `plan`
+  /// (byte-identical to the monolithic build, constructed tile-by-tile),
+  /// pattern mining runs with num_shards PrefixSpan lanes, and a
+  /// per-shard subset annotator is built for every tile so geo-routed
+  /// batches touch only their shard's halo slice of the grid. A 1×1 plan
+  /// is the monolithic case: it runs the monolithic stage pass (a
+  /// one-tile build would be one serial pool task) and its one shard
+  /// annotates through the city-wide annotator (a subset annotator would
+  /// be a second full-city grid). The ROI baseline recognizer is skipped
+  /// in both snapshot ctors (serving never annotates through it), so
+  /// build timings compare like with like.
   CsdSnapshot(std::shared_ptr<const ServeDataset> data,
               const SnapshotOptions& options, const shard::ShardPlan& plan);
 
   /// Adopts an already-built diagram instead of running the construction
-  /// stages — the incremental in-tile rebuild (stream/in_tile_builder.h)
-  /// materializes the tile's diagram itself and only needs the serving
-  /// shell (annotator, patterns, unit→pattern index) wrapped around it.
-  /// The diagram must have been built over `data->pois`.
+  /// stages — a shard rebuild lane's in-tile engine
+  /// (core/incremental_csd.h) materializes the tile's diagram itself and
+  /// only needs the serving shell (annotator, patterns, unit→pattern
+  /// index) wrapped around it. The diagram must have been built over
+  /// `data->pois`.
   CsdSnapshot(std::shared_ptr<const ServeDataset> data,
               const SnapshotOptions& options, CitySemanticDiagram diagram);
 
@@ -129,15 +128,15 @@ class CsdSnapshot {
   /// through this; recognizer() remains the parity oracle.
   const BatchCsdAnnotator& annotator() const { return *annotator_; }
 
-  /// The shard plan this snapshot was built under, or nullptr for a
-  /// monolithic build (including tile-local rebuild snapshots).
+  /// The shard plan this snapshot was built under, or nullptr for an
+  /// adopted diagram (a tile-local rebuild snapshot).
   const shard::ShardPlan* plan() const { return plan_.get(); }
 
   /// Annotator for stays routed to shard `s`: the tile's subset annotator
   /// in plan mode with K > 1 (byte-identical to annotator() for any
   /// in-tile query, see core/batch_annotator.h); annotator() itself at
-  /// K=1 and for snapshots without a plan (a tile-local rebuild's
-  /// annotator already covers exactly its shard's halo).
+  /// K=1 and for adopted tile diagrams (a tile-local rebuild's annotator
+  /// already covers exactly its shard's halo).
   const BatchCsdAnnotator& annotator_for_shard(size_t s) const {
     return shard_annotators_.empty() ? *annotator_ : *shard_annotators_[s];
   }
@@ -164,10 +163,8 @@ class CsdSnapshot {
  private:
   friend class ShardedSnapshotStore;
   void StampVersion(uint64_t version);
-  /// The monolithic stage pass (PervasiveMiner's own CsdBuilder run) plus
-  /// the city-wide annotator over its diagram.
-  void BuildMonolithic(const SnapshotOptions& options);
-  /// Shared tail of every ctor: pattern mining + the unit→pattern CSR.
+  /// Shared tail of both ctors: the city-wide annotator, pattern mining
+  /// and the unit→pattern CSR.
   void FinishInit(const SnapshotOptions& options);
 
   std::shared_ptr<const ServeDataset> data_;

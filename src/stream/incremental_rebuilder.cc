@@ -9,7 +9,6 @@
 
 #include "core/popularity.h"
 #include "obs/trace.h"
-#include "stream/in_tile_builder.h"
 #include "stream/stream_metrics.h"
 
 namespace csd::stream {
@@ -18,15 +17,13 @@ IncrementalRebuilder::IncrementalRebuilder(
     serve::ServeService* service, serve::ShardedSnapshotStore* store,
     const shard::ShardPlan* plan,
     std::shared_ptr<const serve::ServeDataset> bootstrap,
-    DeltaAccumulator* accumulator, size_t checkpoint_every,
-    InTileBuilder* in_tile)
+    DeltaAccumulator* accumulator, size_t checkpoint_every)
     : service_(service),
       store_(store),
       plan_(plan),
       bootstrap_(std::move(bootstrap)),
       accumulator_(accumulator),
       checkpoint_every_(checkpoint_every),
-      in_tile_(in_tile),
       bootstrap_watermark_(ResolveDecayAsOf(bootstrap_->stays)) {}
 
 std::shared_ptr<const serve::ServeDataset>
@@ -105,8 +102,6 @@ RebuildTickReport IncrementalRebuilder::Tick(bool force_checkpoint) {
     // slot and retry — in-flight parallelism up to the admission limit,
     // never a spurious per-tick failure because of it.
     std::deque<std::pair<size_t, std::future<serve::RebuildResult>>> waits;
-    InTileBuilder::Stats in_tile_before{};
-    if (in_tile_ != nullptr) in_tile_before = in_tile_->stats();
     StreamDelta failed;
     auto settle_one = [&]() {
       auto [shard, future] = std::move(waits.front());
@@ -115,6 +110,15 @@ RebuildTickReport IncrementalRebuilder::Tick(bool force_checkpoint) {
       if (result.status.ok()) {
         ++report.shards_rebuilt;
         ShardRebuildsCounter().Increment();
+        if (result.in_tile) {
+          ++report.shards_in_tile;
+          report.in_tile_apply_seconds += result.apply_seconds;
+          InTileRebuildsCounter().Increment();
+        } else {
+          ++report.shards_fallback;
+          report.fallback_apply_seconds += result.apply_seconds;
+          InTileFallbacksCounter().Increment();
+        }
         if (result.version > report.version) report.version = result.version;
       } else {
         if (report.status.ok()) report.status = result.status;
@@ -138,12 +142,6 @@ RebuildTickReport IncrementalRebuilder::Tick(bool force_checkpoint) {
       }
     }
     while (!waits.empty()) settle_one();
-    if (in_tile_ != nullptr) {
-      InTileBuilder::Stats in_tile_after = in_tile_->stats();
-      report.shards_in_tile = in_tile_after.in_tile - in_tile_before.in_tile;
-      report.shards_fallback =
-          in_tile_after.fallbacks - in_tile_before.fallbacks;
-    }
     if (!failed.dirty_shards.empty()) {
       // No lost deltas: the stays remain in the canonical history, and
       // the failed shards go back on the dirty list. Re-pend the stay

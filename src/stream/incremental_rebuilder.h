@@ -13,8 +13,6 @@
 
 namespace csd::stream {
 
-class InTileBuilder;
-
 /// What one publish tick did.
 struct RebuildTickReport {
   Status status;
@@ -25,11 +23,14 @@ struct RebuildTickReport {
   size_t stays_folded = 0;
   /// Shard lanes successfully rebuilt + published (incremental ticks).
   size_t shards_rebuilt = 0;
-  /// Of those, publishes the delta-aware in-tile engine absorbed without
-  /// re-staging the tile / by re-staging it (first build or churn past
-  /// the threshold). Both zero when no InTileBuilder is installed.
+  /// Of those, publishes the lanes' in-tile engines absorbed without
+  /// re-staging the tile / by re-staging it (first build, changed POI
+  /// set, or churn past the threshold), and the summed engine Apply
+  /// seconds of each kind (serve::RebuildResult::apply_seconds).
   size_t shards_in_tile = 0;
   size_t shards_fallback = 0;
+  double in_tile_apply_seconds = 0.0;
+  double fallback_apply_seconds = 0.0;
   bool checkpoint = false;
   double seconds = 0.0;
 };
@@ -38,10 +39,9 @@ struct RebuildTickReport {
 /// fold instead of recomputing the world. An incremental tick rebuilds
 /// only the dirty shards: it materializes one immutable dataset
 /// generation (bootstrap evidence + the canonical stream stays) and runs
-/// each dirty shard through the PR 7 tile path (`MakeShardDataset` →
-/// tile-local snapshot → `PublishShard`), on the per-shard rebuild lanes
-/// of `ServeService::TriggerShardRebuild`, so clean tiles never stop
-/// serving or stall. Every `checkpoint_every`-th tick is a checkpoint: a
+/// each dirty shard through `ServeService::TriggerShardRebuild` (tile cut
+/// → the lane's in-tile engine → `PublishShard`) on the per-shard
+/// rebuild lanes, so clean tiles never stop serving or stall. Every `checkpoint_every`-th tick is a checkpoint: a
 /// full plan-mode rebuild through the global lane (`TriggerRebuild` →
 /// `PublishAll`) that restores exact batch equivalence city-wide.
 ///
@@ -61,17 +61,13 @@ struct RebuildTickReport {
 class IncrementalRebuilder {
  public:
   /// All pointees must outlive the rebuilder. `bootstrap` is the served
-  /// dataset generation the stream folds onto. `in_tile` (optional) is
-  /// the delta-aware in-tile engine whose per-tick absorb/fallback
-  /// counts the report breaks out; the builder itself hooks the service
-  /// directly, so passing it here only wires up reporting.
+  /// dataset generation the stream folds onto.
   IncrementalRebuilder(serve::ServeService* service,
                        serve::ShardedSnapshotStore* store,
                        const shard::ShardPlan* plan,
                        std::shared_ptr<const serve::ServeDataset> bootstrap,
                        DeltaAccumulator* accumulator,
-                       size_t checkpoint_every = 0,
-                       InTileBuilder* in_tile = nullptr);
+                       size_t checkpoint_every = 0);
 
   /// One synchronous publish tick (ticks are serialized). Drains the
   /// accumulator, rebuilds dirty shards (or the whole city on a
@@ -91,7 +87,6 @@ class IncrementalRebuilder {
   std::shared_ptr<const serve::ServeDataset> bootstrap_;
   DeltaAccumulator* accumulator_;
   size_t checkpoint_every_;
-  InTileBuilder* in_tile_;
   /// Newest bootstrap stay time, resolved once at construction; combined
   /// with the accumulator watermark it pins each generation's decay
   /// instant.

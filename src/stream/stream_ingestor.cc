@@ -20,13 +20,8 @@ StreamIngestor::StreamIngestor(
       // one half-life, configured once on the service's snapshot options.
       accumulator_(&bootstrap_->pois, &plan_, options.r3sigma_m,
                    service->snapshot_options().miner.csd.decay),
-      in_tile_(options.in_tile_rebuilds
-                   ? std::make_unique<InTileBuilder>(
-                         service, &plan_,
-                         InTileBuilder::Options{options.churn_threshold})
-                   : nullptr),
       rebuilder_(service, store, &plan_, bootstrap_, &accumulator_,
-                 options.checkpoint_every, in_tile_.get()) {
+                 options.checkpoint_every) {
   RegisterStreamMetrics();
 }
 

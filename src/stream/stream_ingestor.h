@@ -12,7 +12,6 @@
 #include "serve/snapshot_store.h"
 #include "shard/shard_plan.h"
 #include "stream/delta_accumulator.h"
-#include "stream/in_tile_builder.h"
 #include "stream/incremental_rebuilder.h"
 #include "stream/online_stay_point_detector.h"
 #include "util/status.h"
@@ -26,14 +25,6 @@ struct StreamOptions {
   size_t checkpoint_every = 0;
   /// R₃σ of the delta popularity fold (Equation 3).
   double r3sigma_m = 100.0;
-  /// Route dirty-tile publishes through the delta-aware in-tile engine
-  /// (IncrementalTileCsd) instead of re-staging each tile from scratch.
-  /// With decay off the two paths produce byte-identical snapshots
-  /// (docs/streaming.md), so this is on by default.
-  bool in_tile_rebuilds = true;
-  /// Dirty-POI fraction above which an in-tile tick re-stages the whole
-  /// tile (still on cached connectivity) instead of patching clusters.
-  double churn_threshold = 0.25;
 };
 
 /// The streaming front door `csdctl serve --stream` wires behind the
@@ -84,12 +75,6 @@ class StreamIngestor {
   const DeltaAccumulator& accumulator() const { return accumulator_; }
   const shard::ShardPlan& plan() const { return plan_; }
 
-  /// Build counts and per-build stage seconds of the in-tile engine
-  /// (all zero when in_tile_rebuilds is off).
-  InTileBuilder::Stats in_tile_stats() const {
-    return in_tile_ != nullptr ? in_tile_->stats() : InTileBuilder::Stats{};
-  }
-
  private:
   void FoldEmitted(uint32_t user_id, const std::vector<StayPoint>& stays);
 
@@ -97,10 +82,6 @@ class StreamIngestor {
   std::shared_ptr<const serve::ServeDataset> bootstrap_;
   StreamOptions options_;
   DeltaAccumulator accumulator_;
-  /// Declared before rebuilder_ (which reads its stats) and destroyed
-  /// after it; null when in_tile_rebuilds is off. Its constructor hooks
-  /// the service, its destructor unhooks it.
-  std::unique_ptr<InTileBuilder> in_tile_;
   IncrementalRebuilder rebuilder_;
 
   mutable std::mutex mutex_;

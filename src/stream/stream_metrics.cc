@@ -74,8 +74,8 @@ obs::Counter& InTileRebuildsCounter() {
 obs::Counter& InTileFallbacksCounter() {
   static obs::Counter& c = obs::MetricsRegistry::Get().GetCounter(
       "csd_stream_in_tile_fallbacks_total",
-      "Tile publishes that re-staged the whole tile (first build or "
-      "churn past the threshold)");
+      "Tile publishes that re-staged the whole tile (first build, changed "
+      "POI set or churn past the threshold)");
   return c;
 }
 

@@ -27,6 +27,7 @@ namespace {
 
 using serve::CsdSnapshot;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
 using serve::testing::TestSnapshotOptions;
 
 /// Every kernel this CPU can run — parity must hold on each.
@@ -131,8 +132,9 @@ TEST_F(DistanceBatchTest, DispatchReportsForcedKernel) {
 class BatchAnnotatorParityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    snapshot_ = new std::shared_ptr<CsdSnapshot>(std::make_shared<
-        CsdSnapshot>(MakeTestDataset(), TestSnapshotOptions(false)));
+    auto dataset = MakeTestDataset();
+    snapshot_ = new std::shared_ptr<CsdSnapshot>(std::make_shared<CsdSnapshot>(
+        dataset, TestSnapshotOptions(false), MonolithicPlan(dataset)));
   }
   static void TearDownTestSuite() {
     delete snapshot_;

@@ -58,6 +58,7 @@ using serve::kNoDeadline;
 using serve::RequestBatcher;
 using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
 using serve::testing::TestSnapshotOptions;
 
 constexpr auto kResolveBound = std::chrono::seconds(10);
@@ -252,8 +253,10 @@ TEST_F(FailpointTest, ProtocolParseIsInjectable) {
   // The parse site is frame decode on a live server: an armed trip
   // answers that one frame with an error carrying its request_id, and the
   // connection keeps serving.
+  auto dataset = MakeTestDataset();
   K1Store store(std::make_shared<serve::CsdSnapshot>(
-      MakeTestDataset(), TestSnapshotOptions(/*mine_patterns=*/false)));
+      dataset, TestSnapshotOptions(/*mine_patterns=*/false),
+      MonolithicPlan(dataset)));
   serve::ServeService service(&store, store.plan);
   auto server = serve::NetServer::Start(&service, serve::NetServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status();
@@ -296,7 +299,8 @@ class ServeFaultTest : public FailpointTest {
         MakeTestDataset());
     snapshot_ = new std::shared_ptr<serve::CsdSnapshot>(
         std::make_shared<serve::CsdSnapshot>(
-            *dataset_, TestSnapshotOptions(/*mine_patterns=*/false)));
+            *dataset_, TestSnapshotOptions(/*mine_patterns=*/false),
+            MonolithicPlan(*dataset_)));
   }
   static void TearDownTestSuite() {
     delete snapshot_;

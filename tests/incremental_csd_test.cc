@@ -3,8 +3,8 @@
 // cached cluster/unit structure must serialize byte-identically to a
 // from-scratch CsdBuilder::Build over the same inputs — on the first
 // build, on an incremental absorb below the churn threshold, on a
-// churn-threshold fallback, and after the self-heal triggered by a
-// non-subsequence stay diff. The time-decay weight itself is pinned
+// churn-threshold fallback, and after the self-heals triggered by a
+// non-subsequence stay diff or a changed POI set. The time-decay weight itself is pinned
 // here too (exact powers of two, bit-exact epoch composition).
 
 #include <gtest/gtest.h>
@@ -216,6 +216,42 @@ TEST(IncrementalTileCsdTest, SelfHealsOnNonSubsequenceStayDiff) {
   EXPECT_EQ(SerializeDiagram(absorbed, "heal_absorb"),
             SerializeDiagram(CsdBuilder().Build(pois, extended),
                              "heal_absorb_direct"));
+}
+
+TEST(IncrementalTileCsdTest, SelfHealsOnChangedPoiSet) {
+  SyntheticCity city = MakeCity();
+  PoiDatabase pois(city.pois);
+  std::vector<StayPoint> wave1 = MakeWaveOne(city);
+
+  IncrementalTileCsd engine(IncrementalTileCsd::Options{});
+  CitySemanticDiagram first = engine.Apply(pois, wave1);
+  ASSERT_GT(first.num_units(), 0u);
+
+  // Same POI count, one clustered POI moved across the city: a new
+  // dataset cut into the same tile. Cached connectivity and clusters are
+  // stale, so the engine must rebuild from the POIs it was handed.
+  std::vector<Poi> moved = city.pois;
+  PoiId target = first.units().front().pois.front();
+  moved[target].position.x = 6000.0 - moved[target].position.x;
+  moved[target].position.y = 6000.0 - moved[target].position.y;
+  PoiDatabase moved_pois(moved);
+  ASSERT_EQ(moved_pois.size(), pois.size());
+
+  IncrementalTileCsd::TickStats tick;
+  CitySemanticDiagram healed = engine.Apply(moved_pois, wave1, 0, &tick);
+  EXPECT_FALSE(tick.incremental);
+  EXPECT_EQ(SerializeDiagram(healed, "poi_heal"),
+            SerializeDiagram(CsdBuilder().Build(moved_pois, wave1),
+                             "poi_heal_direct"));
+
+  // The healed engine absorbs the next appended delta incrementally.
+  std::vector<StayPoint> extended = Concat(wave1, MakeWaveTwo(city));
+  CitySemanticDiagram absorbed =
+      engine.Apply(moved_pois, extended, 0, &tick);
+  EXPECT_TRUE(tick.incremental);
+  EXPECT_EQ(SerializeDiagram(absorbed, "poi_heal_absorb"),
+            SerializeDiagram(CsdBuilder().Build(moved_pois, extended),
+                             "poi_heal_absorb_direct"));
 }
 
 TEST(IncrementalTileCsdTest, DecayOnIncrementalMatchesFullRecluster) {

@@ -30,6 +30,7 @@ namespace {
 
 using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
 using serve::testing::TestSnapshotOptions;
 
 class NetServerTest : public ::testing::Test {
@@ -37,7 +38,8 @@ class NetServerTest : public ::testing::Test {
   static void SetUpTestSuite() {
     dataset_ = new std::shared_ptr<const ServeDataset>(MakeTestDataset());
     snapshot_ = new std::shared_ptr<CsdSnapshot>(
-        std::make_shared<CsdSnapshot>(*dataset_, TestSnapshotOptions()));
+        std::make_shared<CsdSnapshot>(*dataset_, TestSnapshotOptions(),
+                                      MonolithicPlan(*dataset_)));
   }
   static void TearDownTestSuite() {
     delete snapshot_;

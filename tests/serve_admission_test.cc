@@ -22,6 +22,7 @@ namespace {
 
 using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
 using serve::testing::TestSnapshotOptions;
 
 std::vector<StayPoint> MakeStays(Rng& rng, size_t n) {
@@ -43,7 +44,8 @@ class ServeAdmissionTest : public ::testing::Test {
     dataset_ = new std::shared_ptr<const ServeDataset>(MakeTestDataset());
     snapshot_ = new std::shared_ptr<CsdSnapshot>(
         std::make_shared<CsdSnapshot>(
-            *dataset_, TestSnapshotOptions(/*mine_patterns=*/false)));
+            *dataset_, TestSnapshotOptions(/*mine_patterns=*/false),
+            MonolithicPlan(*dataset_)));
   }
   static void TearDownTestSuite() {
     delete snapshot_;

@@ -22,13 +22,14 @@ namespace {
 
 using serve::testing::K1Store;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
 using serve::testing::StressScale;
 using serve::testing::TestSnapshotOptions;
 
 TEST(CsdSnapshotTest, BuildIsConsistentAndVersionedByPublish) {
   auto dataset = MakeTestDataset();
-  auto snapshot = std::make_shared<CsdSnapshot>(dataset,
-                                                TestSnapshotOptions());
+  auto snapshot = std::make_shared<CsdSnapshot>(
+      dataset, TestSnapshotOptions(), MonolithicPlan(dataset));
   EXPECT_EQ(snapshot->version(), 0u);
   EXPECT_TRUE(snapshot->CheckIntegrity());
   EXPECT_GT(snapshot->diagram().num_units(), 0u);
@@ -44,7 +45,8 @@ TEST(CsdSnapshotTest, BuildIsConsistentAndVersionedByPublish) {
 
 TEST(CsdSnapshotTest, UnitPatternIndexMatchesRecognizer) {
   auto dataset = MakeTestDataset();
-  CsdSnapshot snapshot(dataset, TestSnapshotOptions());
+  CsdSnapshot snapshot(dataset, TestSnapshotOptions(),
+                       MonolithicPlan(dataset));
   ASSERT_GT(snapshot.patterns().size(), 0u)
       << "test dataset mined no patterns; thresholds need lowering";
 
@@ -73,12 +75,14 @@ TEST(CsdSnapshotTest, UnitPatternIndexMatchesRecognizer) {
 TEST(SnapshotStoreTest, PublishesAreMonotonicAndOldGenerationsSurvive) {
   auto dataset = MakeTestDataset();
   K1Store store(std::make_shared<CsdSnapshot>(
-      dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
+      dataset, TestSnapshotOptions(/*mine_patterns=*/false),
+      MonolithicPlan(dataset)));
   EXPECT_EQ(store.current_version(), 1u);
 
   std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
   EXPECT_EQ(store.PublishAll(std::make_shared<CsdSnapshot>(
-                dataset, TestSnapshotOptions(/*mine_patterns=*/false))),
+                dataset, TestSnapshotOptions(/*mine_patterns=*/false),
+                MonolithicPlan(dataset))),
             2u);
   // The pinned generation is intact after being superseded.
   EXPECT_EQ(pinned->version(), 1u);
@@ -91,10 +95,12 @@ TEST(SnapshotStoreTest, ReclaimsGenerationsWithLastReader) {
   auto dataset = MakeTestDataset();
   {
     K1Store store(std::make_shared<CsdSnapshot>(
-        dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
+        dataset, TestSnapshotOptions(/*mine_patterns=*/false),
+        MonolithicPlan(dataset)));
     std::shared_ptr<const CsdSnapshot> pinned = store.Acquire();
     store.PublishAll(std::make_shared<CsdSnapshot>(
-        dataset, TestSnapshotOptions(/*mine_patterns=*/false)));
+        dataset, TestSnapshotOptions(/*mine_patterns=*/false),
+        MonolithicPlan(dataset)));
     EXPECT_EQ(CsdSnapshot::LiveCount(), before + 2)
         << "superseded generation must stay alive while pinned";
     pinned.reset();
@@ -114,7 +120,8 @@ TEST(SnapshotStoreTest, ConcurrentReadersAcrossPublishes) {
   SnapshotOptions options = TestSnapshotOptions(/*mine_patterns=*/false);
   uint64_t live_before = CsdSnapshot::LiveCount();
   {
-    K1Store store(std::make_shared<CsdSnapshot>(dataset, options));
+    K1Store store(std::make_shared<CsdSnapshot>(dataset, options,
+                                                MonolithicPlan(dataset)));
 
     const size_t kReaders = 4;
     const size_t kPublishes = 3 * StressScale();
@@ -143,8 +150,8 @@ TEST(SnapshotStoreTest, ConcurrentReadersAcrossPublishes) {
     }
 
     for (size_t p = 0; p < kPublishes; ++p) {
-      uint64_t version = store.PublishAll(
-          std::make_shared<CsdSnapshot>(dataset, options));
+      uint64_t version = store.PublishAll(std::make_shared<CsdSnapshot>(
+          dataset, options, MonolithicPlan(dataset)));
       EXPECT_EQ(version, p + 2);
     }
     stop.store(true, std::memory_order_release);

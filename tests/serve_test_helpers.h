@@ -1,9 +1,18 @@
 #ifndef CSD_TESTS_SERVE_TEST_HELPERS_H_
 #define CSD_TESTS_SERVE_TEST_HELPERS_H_
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
+#include "io/binary_io.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
 #include "shard/sharded_build.h"
@@ -42,6 +51,28 @@ inline SnapshotOptions TestSnapshotOptions(bool mine_patterns = true) {
   return options;
 }
 
+/// The 1×1 plan of `data`'s city. A CsdSnapshot built over it runs the
+/// monolithic stage pass — the tests' monolithic oracle and K=1 store.
+inline shard::ShardPlan MonolithicPlan(
+    const std::shared_ptr<const ServeDataset>& data) {
+  return shard::PlanForCity(data->pois, 1, CsdBuildOptions{});
+}
+
+/// The diagram's WriteCsdBinary bytes — the byte-identity currency of the
+/// build-equivalence tests.
+inline std::string SerializeDiagram(const CitySemanticDiagram& diagram,
+                                    const std::string& tag) {
+  std::string path = ::testing::TempDir() + "/csd_" +
+                     std::to_string(::getpid()) + "_" + tag + ".bin";
+  Status written = WriteCsdBinary(path, diagram);
+  EXPECT_TRUE(written.ok()) << written.message();
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
+
 /// The monolithic serving case as a store: one shard lane beside the
 /// global lane, plus the 1×1 plan a ServeService over it routes by —
 /// `ServeService service(&store, store.plan, options)`.
@@ -54,8 +85,7 @@ class K1Store : public ShardedSnapshotStore {
   }
   /// An empty store (version 0) over `data`'s city.
   explicit K1Store(const std::shared_ptr<const ServeDataset>& data)
-      : ShardedSnapshotStore(1),
-        plan(shard::PlanForCity(data->pois, 1, CsdBuildOptions{})) {}
+      : ShardedSnapshotStore(1), plan(MonolithicPlan(data)) {}
 
   const shard::ShardPlan plan;
 };

@@ -8,15 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/city_semantic_diagram.h"
-#include "io/binary_io.h"
 #include "serve/snapshot.h"
 #include "shard/shard_plan.h"
 #include "shard/sharded_build.h"
@@ -29,19 +25,9 @@ namespace {
 using serve::CsdSnapshot;
 using serve::ServeDataset;
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
+using serve::testing::SerializeDiagram;
 using serve::testing::TestSnapshotOptions;
-
-std::string SerializeDiagram(const CitySemanticDiagram& diagram,
-                             const std::string& tag) {
-  std::string path = ::testing::TempDir() + "/csd_" + tag + ".bin";
-  Status written = WriteCsdBinary(path, diagram);
-  EXPECT_TRUE(written.ok()) << written.message();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::remove(path.c_str());
-  return bytes.str();
-}
 
 /// The strong comparison: serialized bytes equal, plus the structural
 /// fields spelled out so a mismatch names what diverged.
@@ -106,7 +92,7 @@ TEST(ShardedBuildTest, IdenticalAtOneAndManyThreads) {
 void ExpectSnapshotsIdentical(const std::shared_ptr<const ServeDataset>& data,
                               const ShardPlan& plan) {
   auto options = TestSnapshotOptions();
-  CsdSnapshot monolithic(data, options);
+  CsdSnapshot monolithic(data, options, MonolithicPlan(data));
   CsdSnapshot sharded(data, options, plan);
   ASSERT_NE(sharded.plan(), nullptr);
 

@@ -2,7 +2,8 @@
 // global and per-shard lanes, geo-routed annotation byte-identical to the
 // voting recognizer at K=4 and at K=1 (the monolithic deployment),
 // straddling batches fanned out and reassembled in
-// request order, per-shard rebuilds publishing exactly one lane — and the
+// request order, per-shard rebuilds publishing exactly one lane with the
+// bytes of a from-scratch build of the tile — and the
 // isolation claim the whole design exists for: a shard whose rebuild lane
 // is stuck (driven by the serve/rebuild failpoint) never blocks
 // annotation routed to any other shard.
@@ -13,9 +14,12 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/city_semantic_diagram.h"
+#include "core/popularity.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
@@ -28,6 +32,8 @@ namespace csd::serve {
 namespace {
 
 using serve::testing::MakeTestDataset;
+using serve::testing::MonolithicPlan;
+using serve::testing::SerializeDiagram;
 using serve::testing::TestSnapshotOptions;
 
 constexpr auto kResolveBound = std::chrono::seconds(30);
@@ -86,7 +92,7 @@ class ShardedServeTest : public ::testing::Test {
   /// equal the scalar voting recognizer of a monolithic snapshot of the
   /// same dataset — the reference oracle, not another serving path.
   void ExpectMatchesRecognizerOracle(ServeService& service) {
-    const CsdSnapshot oracle(dataset_, options_);
+    const CsdSnapshot oracle(dataset_, options_, MonolithicPlan(dataset_));
     const size_t kBatch = 8;
     size_t compared = 0;
     for (size_t base = 0; base + kBatch <= dataset_->stays.size() &&
@@ -139,8 +145,9 @@ TEST(ShardedSnapshotStoreTest, LanesShareOneMonotonicVersionCounter) {
   }
 
   // PublishShard bumps the shared counter but replaces one lane only.
-  auto tile = std::make_shared<CsdSnapshot>(
-      MakeShardDataset(*dataset, plan, 2), options);
+  auto tile_data = MakeShardDataset(*dataset, plan, 2);
+  auto tile = std::make_shared<CsdSnapshot>(tile_data, options,
+                                            MonolithicPlan(tile_data));
   EXPECT_EQ(store.PublishShard(2, tile), 2u);
   EXPECT_EQ(store.shard_version(2), 2u);
   EXPECT_EQ(store.AcquireShard(2).get(), tile.get());
@@ -232,6 +239,55 @@ TEST_F(ShardedServeTest, ShardRebuildPublishesExactlyOneLane) {
 
   // An out-of-range shard is rejected up front.
   EXPECT_FALSE(service_->TriggerShardRebuild(kShards).ok());
+}
+
+TEST_F(ShardedServeTest, ShardRebuildMatchesDirectTileBuild) {
+  // A shard lane cuts the tile, absorbs it into its in-tile engine and
+  // adopts the engine's diagram. That must be the diagram a from-scratch
+  // build of the same tile cut gives — with decay off, and with decay on
+  // against a generation that pins its decay instant the way a streamed
+  // generation does.
+  for (double half_life_s : {0.0, 3600.0}) {
+    SCOPED_TRACE(half_life_s);
+    SnapshotOptions options = options_;
+    options.miner.csd.decay.half_life_s = half_life_s;
+    Timestamp as_of =
+        half_life_s > 0.0 ? ResolveDecayAsOf(dataset_->stays) + 3600 : 0;
+    auto data = std::make_shared<const ServeDataset>(
+        dataset_->pois.pois(), dataset_->stays, dataset_->trajectories,
+        as_of);
+    ShardedSnapshotStore store(plan_->num_shards());
+    store.PublishAll(std::make_shared<CsdSnapshot>(data, options, *plan_));
+    ServeOptions serve_options;
+    serve_options.snapshot = options;
+    ServeService service(&store, *plan_, serve_options);
+
+    for (size_t s = 0; s < kShards; ++s) {
+      std::shared_ptr<const ServeDataset> tile =
+          MakeShardDataset(*data, *plan_, s);
+      CsdBuildOptions build = options.miner.csd;
+      if (build.decay.enabled()) build.decay.as_of = tile->decay_as_of;
+      std::string tag = std::to_string(s) + "_" +
+                        std::to_string(static_cast<int>(half_life_s));
+      std::string direct = SerializeDiagram(
+          CsdBuilder(build).Build(tile->pois, tile->stays), "direct" + tag);
+
+      // The first rebuild re-stages the tile; a second over the same
+      // generation absorbs an empty delta. Both land on the same bytes.
+      for (bool expect_in_tile : {false, true}) {
+        auto future_or = service.TriggerShardRebuild(s);
+        ASSERT_TRUE(future_or.ok()) << future_or.status().message();
+        RebuildResult result = std::move(future_or).value().get();
+        ASSERT_TRUE(result.status.ok()) << result.status.message();
+        EXPECT_EQ(result.in_tile, expect_in_tile);
+        EXPECT_EQ(SerializeDiagram(store.AcquireShard(s)->diagram(),
+                                   "lane" + tag),
+                  direct)
+            << "shard " << s << (expect_in_tile ? " absorb" : " first");
+      }
+    }
+    service.Shutdown();
+  }
 }
 
 TEST_F(ShardedServeTest, RebuildingShardNeverBlocksOtherShards) {

@@ -11,15 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/city_semantic_diagram.h"
-#include "io/binary_io.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "serve/snapshot_store.h"
@@ -41,19 +37,9 @@ using serve::CsdSnapshot;
 using serve::ServeDataset;
 using serve::ServeService;
 using serve::ShardedSnapshotStore;
+using serve::testing::MonolithicPlan;
+using serve::testing::SerializeDiagram;
 using serve::testing::TestSnapshotOptions;
-
-std::string SerializeDiagram(const CitySemanticDiagram& diagram,
-                             const std::string& tag) {
-  std::string path = ::testing::TempDir() + "/stream_" + tag + ".bin";
-  Status written = WriteCsdBinary(path, diagram);
-  EXPECT_TRUE(written.ok()) << written.message();
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::remove(path.c_str());
-  return bytes.str();
-}
 
 /// The per-trace half of the differential harness: batch stays vs the
 /// online detector fed one fix at a time, compared field by field with
@@ -435,7 +421,7 @@ TEST(StreamDifferentialTest, DecayOffBuildsAreByteIdenticalAcrossAllPaths) {
   for (int threads : {1, 4}) {
     SetDefaultParallelism(static_cast<size_t>(threads));
     std::string tag = std::to_string(threads);
-    CsdSnapshot monolithic(oracle_data, options);
+    CsdSnapshot monolithic(oracle_data, options, MonolithicPlan(oracle_data));
     CsdSnapshot tiled(oracle_data, options, plan);
     std::string monolithic_bytes =
         SerializeDiagram(monolithic.diagram(), "mono" + tag);
