@@ -31,12 +31,14 @@ struct PopularityDecayOptions {
   bool enabled() const { return half_life_s > 0.0; }
 };
 
-/// The 2^-((as_of - t)/H) factor above. Exact powers of two, so scaling a
-/// sum from one epoch to another (DeltaAccumulator's lazy rescale) composes
-/// without drift: DecayWeight(t, b, H) == DecayWeight(t, a, H) *
-/// DecayWeight(a, b, H) holds to the last bit whenever (b - a) is an exact
-/// multiple of H. `half_life_s` must be > 0; stays from the future (t >
-/// as_of) are clamped to weight 1 rather than amplified.
+/// The 2^-((as_of - t)/H) factor above. Exact powers of two, so moving a
+/// weight from one instant to a later one (the common factor a clean
+/// component's stays share between two in-tile generations,
+/// core/incremental_csd.h) composes without drift:
+/// DecayWeight(t, b, H) == DecayWeight(t, a, H) * DecayWeight(a, b, H)
+/// holds to the last bit whenever (b - a) is an exact multiple of H.
+/// `half_life_s` must be > 0; stays from the future (t > as_of) are
+/// clamped to weight 1 rather than amplified.
 double DecayWeight(Timestamp stay_time, Timestamp as_of, double half_life_s);
 
 /// The instant an `as_of = 0` build resolves to: the newest stay time in

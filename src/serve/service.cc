@@ -456,10 +456,20 @@ void ServeService::RunRebuildJob(RebuildLane* lane, RebuildJob job) {
         // Tile-local rebuild: cut the shard's halo slice (~1/K of the
         // city) and absorb it into the lane's in-tile engine, which
         // re-stages only what the delta since its last generation
-        // touched, then wrap the serving shell around its diagram.
+        // touched, then wrap the serving shell around its diagram. While
+        // the city database is the one the lane last cut from, the cut
+        // reuses the lane's tile database and filters only the evidence.
         size_t shard = static_cast<size_t>(job.shard);
-        std::shared_ptr<const ServeDataset> tile =
-            MakeShardDataset(*data, plan_, shard);
+        std::shared_ptr<const ServeDataset> tile;
+        {
+          CSD_TRACE_SPAN("serve/tile_cut");
+          if (lane->cut_city_pois != data->poi_db) {
+            lane->cut_tile_pois = nullptr;
+            lane->cut_city_pois = data->poi_db;
+          }
+          tile = MakeShardDataset(*data, plan_, shard, lane->cut_tile_pois);
+          lane->cut_tile_pois = tile->poi_db;
+        }
         if (lane->engine == nullptr) {
           IncrementalTileCsd::Options engine_options;
           engine_options.build = options_.snapshot.miner.csd;

@@ -115,7 +115,9 @@ class ServeService {
 
   /// Queues a rebuild of shard `shard`'s tile on that shard's dedicated
   /// rebuild lane. The tile dataset is cut from `data` (nullptr re-cuts
-  /// from the global lane's current dataset) by MakeShardDataset and
+  /// from the global lane's current dataset) by MakeShardDataset, which
+  /// reuses the lane's tile POI database while `data` shares the city
+  /// database (ServeDataset::poi_db) the lane last cut from. The cut is
   /// absorbed by the lane's IncrementalTileCsd (core/incremental_csd.h):
   /// the first build, a changed POI set or churn past the threshold
   /// re-stages the whole tile; a streamed delta re-runs only its dirty
@@ -129,8 +131,8 @@ class ServeService {
   Result<std::future<RebuildResult>> TriggerShardRebuild(
       size_t shard, std::shared_ptr<const ServeDataset> data = nullptr);
 
-  /// The options every rebuild builds with (the streaming layer's delta
-  /// field decays on the same clock).
+  /// The options every rebuild builds with (the streaming layer pins a
+  /// generation's decay instant only when these switch decay on).
   const SnapshotOptions& snapshot_options() const {
     return options_.snapshot;
   }
@@ -179,8 +181,16 @@ class ServeService {
     bool stop = false;
     std::thread thread;
     /// Shard lanes: the tile's in-tile engine, created on the first
-    /// rebuild. Only this lane's thread touches it, so it needs no lock.
+    /// rebuild. Only this lane's thread touches it (and the cut cache
+    /// below), so it needs no lock.
     std::unique_ptr<IncrementalTileCsd> engine;
+    /// Shard lanes: the tile POI database of the last cut and the city
+    /// database it was cut from. Holding the city database (not just its
+    /// address) means a freed-and-reused address can never pass for it,
+    /// at the price of pinning that database until the lane's next cut;
+    /// a generation over any other city database re-cuts the tile.
+    std::shared_ptr<const PoiDatabase> cut_city_pois;
+    std::shared_ptr<const PoiDatabase> cut_tile_pois;
   };
 
   /// Shared front door of both annotate submission flavors: validates,

@@ -41,14 +41,18 @@ std::shared_ptr<const ServeDataset> MakeServeDataset(
 }
 
 std::shared_ptr<const ServeDataset> MakeShardDataset(
-    const ServeDataset& full, const shard::ShardPlan& plan, size_t shard) {
+    const ServeDataset& full, const shard::ShardPlan& plan, size_t shard,
+    std::shared_ptr<const PoiDatabase> tile_pois) {
   BoundingBox halo = plan.HaloBounds(shard);
   BoundingBox tile = plan.TileBounds(shard);
 
-  std::vector<Poi> pois;
-  for (PoiId pid = 0; pid < full.pois.size(); ++pid) {
-    const Poi& poi = full.pois.poi(pid);
-    if (halo.Contains(poi.position)) pois.push_back(poi);
+  if (tile_pois == nullptr) {
+    std::vector<Poi> pois;
+    for (PoiId pid = 0; pid < full.pois.size(); ++pid) {
+      const Poi& poi = full.pois.poi(pid);
+      if (halo.Contains(poi.position)) pois.push_back(poi);
+    }
+    tile_pois = std::make_shared<const PoiDatabase>(std::move(pois));
   }
   std::vector<StayPoint> stays;
   for (const StayPoint& sp : full.stays) {
@@ -71,7 +75,7 @@ std::shared_ptr<const ServeDataset> MakeShardDataset(
   for (size_t i = 0; i < db.size(); ++i) {
     db[i].id = static_cast<TrajectoryId>(i);
   }
-  return std::make_shared<const ServeDataset>(std::move(pois),
+  return std::make_shared<const ServeDataset>(std::move(tile_pois),
                                               std::move(stays), std::move(db),
                                               full.decay_as_of);
 }

@@ -21,8 +21,15 @@ namespace csd::serve {
 /// and queued rebuilds share it by shared_ptr, so a rebuild on fresh data
 /// never copies the old generation and the old generation dies with the
 /// last snapshot that references it.
+///
+/// The POI set P is fixed while stays stream in, so the database is
+/// itself shared: every generation a stream publishes points at the
+/// bootstrap's `poi_db` (no Poi copy, no grid rebuild per tick), and a
+/// shard lane reuses the tile database it cut from that city database
+/// until the city database changes (ServeService::TriggerShardRebuild).
 struct ServeDataset {
-  PoiDatabase pois;
+  std::shared_ptr<const PoiDatabase> poi_db;
+  const PoiDatabase& pois;               // *poi_db
   std::vector<StayPoint> stays;          // popularity evidence (Eq. 3)
   SemanticTrajectoryDb trajectories;     // pattern-mining input
 
@@ -33,13 +40,27 @@ struct ServeDataset {
   /// decays against the same clock. Ignored while decay is off.
   Timestamp decay_as_of = 0;
 
+  /// Builds a fresh POI database (grid index included) over `pois_in`.
   ServeDataset(std::vector<Poi> pois_in, std::vector<StayPoint> stays_in,
                SemanticTrajectoryDb trajectories_in,
                Timestamp decay_as_of_in = 0)
-      : pois(std::move(pois_in)),
+      : ServeDataset(std::make_shared<const PoiDatabase>(std::move(pois_in)),
+                     std::move(stays_in), std::move(trajectories_in),
+                     decay_as_of_in) {}
+
+  /// Shares an existing POI database (non-null) with other generations.
+  ServeDataset(std::shared_ptr<const PoiDatabase> poi_db_in,
+               std::vector<StayPoint> stays_in,
+               SemanticTrajectoryDb trajectories_in,
+               Timestamp decay_as_of_in = 0)
+      : poi_db(std::move(poi_db_in)),
+        pois(*poi_db),
         stays(std::move(stays_in)),
         trajectories(std::move(trajectories_in)),
         decay_as_of(decay_as_of_in) {}
+
+  ServeDataset(const ServeDataset&) = delete;
+  ServeDataset& operator=(const ServeDataset&) = delete;
 };
 
 /// Builds a ServeDataset from raw taxi journeys the way the batch
@@ -57,8 +78,13 @@ std::shared_ptr<const ServeDataset> MakeServeDataset(
 /// Tile-local annotation near the halo fringe may differ from the
 /// full-city build (eps-chains can cross halos); the byte-identity
 /// guarantee belongs to the full sharded build, not to tile rebuilds.
+///
+/// `tile_pois`, when non-null, must be this shard's POI database from an
+/// earlier cut of the same `full.poi_db`: it is shared as-is, so the cut
+/// only filters stays and trajectories and never scans the city's POIs.
 std::shared_ptr<const ServeDataset> MakeShardDataset(
-    const ServeDataset& full, const shard::ShardPlan& plan, size_t shard);
+    const ServeDataset& full, const shard::ShardPlan& plan, size_t shard,
+    std::shared_ptr<const PoiDatabase> tile_pois = nullptr);
 
 /// Knobs of one snapshot construction.
 struct SnapshotOptions {

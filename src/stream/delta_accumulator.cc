@@ -1,23 +1,13 @@
 #include "stream/delta_accumulator.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/popularity.h"
 #include "stream/stream_metrics.h"
 
 namespace csd::stream {
 
-DeltaAccumulator::DeltaAccumulator(const PoiDatabase* pois,
-                                   const shard::ShardPlan* plan,
-                                   double r3sigma_m,
-                                   PopularityDecayOptions decay)
-    : pois_(pois),
-      plan_(plan),
-      r3sigma_(r3sigma_m),
-      decay_(decay),
-      delta_popularity_(pois->size(), 0.0),
-      dirty_(plan->num_shards(), false) {}
+DeltaAccumulator::DeltaAccumulator(const shard::ShardPlan* plan)
+    : plan_(plan), dirty_(plan->num_shards(), false) {}
 
 void DeltaAccumulator::PublishGauges() const {
   PendingStaysGauge().Set(static_cast<double>(pending_stays_));
@@ -30,23 +20,6 @@ void DeltaAccumulator::Fold(uint32_t user_id, const StayPoint& stay) {
   ++pending_stays_;
   ++total_stays_;
   watermark_ = std::max(watermark_, stay.time);
-  double weight = 1.0;
-  if (decay_.enabled()) {
-    if (!decay_epoch_set_) {
-      decay_epoch_ = stay.time;
-      decay_epoch_set_ = true;
-    }
-    // Scaled to the current epoch, so one lazy rescale at epoch advance
-    // keeps every contribution on the same clock. Stays ahead of the
-    // epoch upscale (exactly — powers of two), bounded by the epoch lag
-    // of at most one publish interval.
-    weight = std::exp2(static_cast<double>(stay.time - decay_epoch_) /
-                       decay_.half_life_s);
-  }
-  pois_->ForEachInRange(stay.position, r3sigma_, [&](PoiId id) {
-    double d = Distance(stay.position, pois_->poi(id).position);
-    delta_popularity_[id] += weight * GaussianCoefficient(d, r3sigma_);
-  });
   for (size_t shard : plan_->HaloShardsOf(stay.position)) {
     if (!dirty_[shard]) {
       dirty_[shard] = true;
@@ -82,21 +55,6 @@ void DeltaAccumulator::Restore(const StreamDelta& delta) {
   PublishGauges();
 }
 
-void DeltaAccumulator::AdvanceDecayEpoch(Timestamp new_epoch) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!decay_.enabled()) return;
-  if (!decay_epoch_set_) {
-    decay_epoch_ = new_epoch;
-    decay_epoch_set_ = true;
-    return;
-  }
-  if (new_epoch <= decay_epoch_) return;
-  double scale = std::exp2(
-      -static_cast<double>(new_epoch - decay_epoch_) / decay_.half_life_s);
-  for (double& v : delta_popularity_) v *= scale;
-  decay_epoch_ = new_epoch;
-}
-
 std::vector<StayPoint> DeltaAccumulator::CanonicalStays() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<StayPoint> out;
@@ -112,11 +70,6 @@ Timestamp DeltaAccumulator::watermark() const {
   return watermark_;
 }
 
-Timestamp DeltaAccumulator::decay_epoch() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return decay_epoch_;
-}
-
 size_t DeltaAccumulator::pending_stays() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pending_stays_;
@@ -125,18 +78,6 @@ size_t DeltaAccumulator::pending_stays() const {
 size_t DeltaAccumulator::total_stays() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_stays_;
-}
-
-double DeltaAccumulator::delta_popularity(PoiId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return delta_popularity_[id];
-}
-
-double DeltaAccumulator::total_delta_popularity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double total = 0.0;
-  for (double v : delta_popularity_) total += v;
-  return total;
 }
 
 }  // namespace csd::stream

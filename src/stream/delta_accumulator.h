@@ -6,8 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/popularity.h"
-#include "poi/poi_database.h"
 #include "shard/shard_plan.h"
 #include "traj/trajectory.h"
 
@@ -26,9 +24,10 @@ struct StreamDelta {
 };
 
 /// Folds stay points emitted by the online detectors into the streaming
-/// state an incremental rebuild consumes: per-POI delta popularity
-/// (Equation 3's Gaussian-weighted count, accumulated stay by stay),
-/// the per-tile dirty set, and the canonical stay history.
+/// state an incremental rebuild consumes: the per-tile dirty set, the
+/// stream watermark, and the canonical stay history. Popularity itself
+/// (Equation 3) is not accumulated here: every tile rebuild recomputes
+/// it exactly from the generation's stays (core/incremental_csd.h).
 ///
 /// Canonical order — the keystone of the differential harness: stays are
 /// kept per user in emission order and concatenated user-major
@@ -43,22 +42,11 @@ struct StreamDelta {
 /// concurrently; Drain/Restore run on the publish tick.
 class DeltaAccumulator {
  public:
-  /// `pois` and `plan` must outlive the accumulator. `r3sigma_m` is the
-  /// popularity kernel radius R₃σ of Equation 3. With `decay` enabled the
-  /// delta popularity field becomes a sliding-regime Eq. 3: folded
-  /// contributions are stored scaled to the current decay epoch — a stay
-  /// at time t adds 2^((t - epoch)/H) of its Gaussian mass, an exact
-  /// power-of-two upscale bounded by the epoch lag — and
-  /// AdvanceDecayEpoch rescales the whole field lazily in one pass
-  /// instead of touching every POI per fold. `decay.as_of` is ignored
-  /// (the epoch advances with the stream's watermark).
-  DeltaAccumulator(const PoiDatabase* pois, const shard::ShardPlan* plan,
-                   double r3sigma_m = 100.0,
-                   PopularityDecayOptions decay = {});
+  /// `plan` must outlive the accumulator.
+  explicit DeltaAccumulator(const shard::ShardPlan* plan);
 
-  /// Folds one emitted stay: appends it to `user_id`'s history, adds its
-  /// Gaussian contribution to every POI within R₃σ, and marks the
-  /// shards whose halos contain it dirty.
+  /// Folds one emitted stay: appends it to `user_id`'s history and marks
+  /// the shards whose halos contain it dirty.
   void Fold(uint32_t user_id, const StayPoint& stay);
 
   /// Hands the pending tick work (count + dirty set) to a publish tick
@@ -70,13 +58,6 @@ class DeltaAccumulator {
   /// no-lost-deltas contract the chaos tests hold.
   void Restore(const StreamDelta& delta);
 
-  /// Moves the decay epoch forward to `new_epoch` (normally the publish
-  /// tick's watermark), multiplying every accumulated delta by
-  /// 2^-((new_epoch - epoch)/H) in one lazy pass. No-op with decay off,
-  /// with a non-advancing epoch, or before the first fold (the epoch
-  /// seeds itself from the first folded stay).
-  void AdvanceDecayEpoch(Timestamp new_epoch);
-
   /// All folded stays, user-major / emission-minor (see class comment).
   std::vector<StayPoint> CanonicalStays() const;
 
@@ -84,17 +65,10 @@ class DeltaAccumulator {
   /// instant a generation built from CanonicalStays should pin.
   Timestamp watermark() const;
 
-  /// The instant the decayed delta field is currently expressed at.
-  Timestamp decay_epoch() const;
-
   /// Stays folded since the last successful Drain.
   size_t pending_stays() const;
   /// All stays folded since construction.
   size_t total_stays() const;
-
-  /// Accumulated Equation 3 delta popularity of one POI / of the city.
-  double delta_popularity(PoiId id) const;
-  double total_delta_popularity() const;
 
  private:
   /// Pushes the pending-stays and dirty-shards gauges (callers hold
@@ -104,22 +78,16 @@ class DeltaAccumulator {
   /// job asserts the values, not just the series' presence).
   void PublishGauges() const;
 
-  const PoiDatabase* pois_;
   const shard::ShardPlan* plan_;
-  double r3sigma_;
-  PopularityDecayOptions decay_;
 
   mutable std::mutex mutex_;
   /// Ordered by user id so canonical concatenation is a plain walk.
   std::map<uint32_t, std::vector<StayPoint>> stays_by_user_;
-  std::vector<double> delta_popularity_;
   std::vector<bool> dirty_;
   size_t dirty_count_ = 0;
   size_t pending_stays_ = 0;
   size_t total_stays_ = 0;
   Timestamp watermark_ = 0;
-  Timestamp decay_epoch_ = 0;
-  bool decay_epoch_set_ = false;
 };
 
 }  // namespace csd::stream

@@ -28,12 +28,16 @@ IncrementalRebuilder::IncrementalRebuilder(
 
 std::shared_ptr<const serve::ServeDataset>
 IncrementalRebuilder::MakeNextGeneration() const {
+  CSD_TRACE_SPAN("stream/make_generation");
   // A fresh immutable generation per tick: rebuild lanes cut tile
   // datasets from it asynchronously (service.cc RunRebuildJob), so it
-  // must never be mutated after this returns. The stays are bootstrap
-  // evidence followed by the canonical stream history — an order
-  // invariant under feed interleaving and tick count, which is what
-  // makes checkpoint builds byte-comparable to the batch oracle.
+  // must never be mutated after this returns. It shares the bootstrap's
+  // POI database — P never changes under a stream — so a tick copies no
+  // Poi and builds no grid, and the lanes keep reusing their tile cuts
+  // of that one database. The stays are bootstrap evidence followed by
+  // the canonical stream history — an order invariant under feed
+  // interleaving and tick count, which is what makes checkpoint builds
+  // byte-comparable to the batch oracle.
   std::vector<StayPoint> stays = bootstrap_->stays;
   std::vector<StayPoint> streamed = accumulator_->CanonicalStays();
   stays.insert(stays.end(), streamed.begin(), streamed.end());
@@ -47,7 +51,7 @@ IncrementalRebuilder::MakeNextGeneration() const {
     decay_as_of = std::max(bootstrap_watermark_, accumulator_->watermark());
   }
   return std::make_shared<const serve::ServeDataset>(
-      bootstrap_->pois.pois(), std::move(stays), bootstrap_->trajectories,
+      bootstrap_->poi_db, std::move(stays), bootstrap_->trajectories,
       decay_as_of);
 }
 
@@ -73,9 +77,6 @@ RebuildTickReport IncrementalRebuilder::Tick(bool force_checkpoint) {
   DirtyShardsCounter().Increment(delta.dirty_shards.size());
 
   std::shared_ptr<const serve::ServeDataset> next = MakeNextGeneration();
-  // Re-express the pending delta field at the generation's decay instant
-  // (a lazy one-pass rescale; no-op with decay off).
-  accumulator_->AdvanceDecayEpoch(next->decay_as_of);
   if (report.checkpoint) {
     // Full plan-mode rebuild through the global lane: TriggerRebuild on
     // a sharded service builds with the plan and PublishAll()s, resetting

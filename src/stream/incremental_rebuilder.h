@@ -56,8 +56,9 @@ struct RebuildTickReport {
 /// a failed rebuild publishes nothing on that lane (the last good
 /// snapshot keeps serving) and the tick Restores the delta, so the next
 /// tick retries with nothing lost. Dataset generations are immutable —
-/// each tick builds a fresh one — so a rebuild lane racing a later tick
-/// never observes a mutation.
+/// each tick assembles a fresh stay vector over the bootstrap's shared
+/// POI database, which no generation ever mutates — so a rebuild lane
+/// racing a later tick never observes a mutation.
 class IncrementalRebuilder {
  public:
   /// All pointees must outlive the rebuilder. `bootstrap` is the served

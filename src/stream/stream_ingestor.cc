@@ -16,10 +16,7 @@ StreamIngestor::StreamIngestor(
     : plan_(std::move(plan)),
       bootstrap_(std::move(bootstrap)),
       options_(options),
-      // The delta field decays on the same clock as the serving builds:
-      // one half-life, configured once on the service's snapshot options.
-      accumulator_(&bootstrap_->pois, &plan_, options.r3sigma_m,
-                   service->snapshot_options().miner.csd.decay),
+      accumulator_(&plan_),
       rebuilder_(service, store, &plan_, bootstrap_, &accumulator_,
                  options.checkpoint_every) {
   RegisterStreamMetrics();

@@ -23,8 +23,6 @@ struct StreamOptions {
   OnlineDetectorOptions detector;
   /// Every Nth publish tick is a full-rebuild checkpoint (0 = never).
   size_t checkpoint_every = 0;
-  /// R₃σ of the delta popularity fold (Equation 3).
-  double r3sigma_m = 100.0;
 };
 
 /// The streaming front door `csdctl serve --stream` wires behind the
@@ -34,7 +32,7 @@ struct StreamOptions {
 ///
 ///   fixes ──IngestFixes──> OnlineStayPointDetector (per user)
 ///             │ emitted stays
-///             └──> DeltaAccumulator (delta pop + dirty tiles)
+///             └──> DeltaAccumulator (stay history + dirty tiles)
 ///   PublishTick ──> IncrementalRebuilder ──> dirty-shard rebuilds
 ///                                            / checkpoint PublishAll
 ///

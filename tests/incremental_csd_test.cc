@@ -97,8 +97,9 @@ TEST(DecayWeightTest, ExactPowersOfTwoAndFutureClamp) {
   EXPECT_EQ(DecayWeight(5000, 1000, h), 1.0);  // future stays clamp to 1
   EXPECT_EQ(DecayWeight(1000, 1000 + 3600, h), 0.5);
   EXPECT_EQ(DecayWeight(1000, 1000 + 2 * 3600, h), 0.25);
-  // Epoch composition is bit-exact when the epoch step is a multiple of
-  // the half-life — the property DeltaAccumulator's lazy rescale needs.
+  // Composition is bit-exact when the step between instants is a
+  // multiple of the half-life: a later generation re-weights every stay
+  // by one common factor, the scale the in-tile engine's reuse relies on.
   const Timestamp t = 777;
   const Timestamp a = 10000;
   const Timestamp b = a + 3600;

@@ -3,7 +3,8 @@
 // voting recognizer at K=4 and at K=1 (the monolithic deployment),
 // straddling batches fanned out and reassembled in
 // request order, per-shard rebuilds publishing exactly one lane with the
-// bytes of a from-scratch build of the tile — and the
+// bytes of a from-scratch build of the tile (also when the lane reuses its
+// cached tile cut across generations) — and the
 // isolation claim the whole design exists for: a shard whose rebuild lane
 // is stuck (driven by the serve/rebuild failpoint) never blocks
 // annotation routed to any other shard.
@@ -286,6 +287,114 @@ TEST_F(ShardedServeTest, ShardRebuildMatchesDirectTileBuild) {
             << "shard " << s << (expect_in_tile ? " absorb" : " first");
       }
     }
+    service.Shutdown();
+  }
+}
+
+TEST_F(ShardedServeTest, CachedTileCutMatchesFreshCutAcrossTicks) {
+  // Generations that share one city POI database let each lane keep its
+  // tile POI database and re-filter only the evidence. Every tick must
+  // still publish the bytes a from-scratch build over an uncached cut of
+  // the same generation gives, and a generation over a different city
+  // database must re-cut the tile.
+  auto rebuild = [](ServeService& service, size_t s,
+                    std::shared_ptr<const ServeDataset> data) {
+    auto future_or = service.TriggerShardRebuild(s, std::move(data));
+    EXPECT_TRUE(future_or.ok()) << future_or.status().message();
+    return std::move(future_or).value().get();
+  };
+  for (double half_life_s : {0.0, 3600.0}) {
+    SCOPED_TRACE(half_life_s);
+    SnapshotOptions options = options_;
+    options.miner.csd.decay.half_life_s = half_life_s;
+    ShardedSnapshotStore store(plan_->num_shards());
+    store.PublishAll(
+        std::make_shared<CsdSnapshot>(dataset_, options, *plan_));
+    ServeOptions serve_options;
+    serve_options.snapshot = options;
+    ServeService service(&store, *plan_, serve_options);
+
+    // Lane rebuild vs a direct build over a fresh cut of `data`.
+    auto expect_matches_fresh_cut = [&](const ServeDataset& data, size_t s,
+                                        const std::string& tag) {
+      std::shared_ptr<const ServeDataset> fresh =
+          MakeShardDataset(data, *plan_, s);
+      CsdBuildOptions build = options.miner.csd;
+      if (build.decay.enabled()) build.decay.as_of = fresh->decay_as_of;
+      std::shared_ptr<const CsdSnapshot> lane = store.AcquireShard(s);
+      EXPECT_EQ(lane->data().stays.size(), fresh->stays.size()) << tag;
+      EXPECT_EQ(lane->data().trajectories.size(), fresh->trajectories.size())
+          << tag;
+      EXPECT_EQ(SerializeDiagram(lane->diagram(), "lane" + tag),
+                SerializeDiagram(
+                    CsdBuilder(build).Build(fresh->pois, fresh->stays),
+                    "fresh" + tag))
+          << tag;
+    };
+
+    // Three generations over the dataset's own POI database, each a
+    // longer prefix of its stays. With decay on, the instants sit whole
+    // half-lives apart, as a streamed generation's would under steady
+    // traffic.
+    const std::vector<StayPoint>& all = dataset_->stays;
+    const Timestamp base_as_of = ResolveDecayAsOf(all);
+    std::vector<std::shared_ptr<const PoiDatabase>> cut(kShards);
+    std::vector<StayPoint> last_stays;
+    Timestamp last_as_of = 0;
+    for (size_t tick = 1; tick <= 3; ++tick) {
+      last_stays.assign(all.begin(), all.begin() + all.size() * tick / 3);
+      last_as_of = half_life_s > 0.0
+                       ? base_as_of + static_cast<Timestamp>(tick) * 3600
+                       : 0;
+      auto generation = std::make_shared<const ServeDataset>(
+          dataset_->poi_db, last_stays, dataset_->trajectories, last_as_of);
+      for (size_t s = 0; s < kShards; ++s) {
+        std::string tag = "_t" + std::to_string(tick) + "_s" +
+                          std::to_string(s) + "_" +
+                          std::to_string(static_cast<int>(half_life_s));
+        RebuildResult result = rebuild(service, s, generation);
+        ASSERT_TRUE(result.status.ok()) << result.status.message();
+        if (tick == 1) {
+          EXPECT_FALSE(result.in_tile) << tag;
+        }
+        expect_matches_fresh_cut(*generation, s, tag);
+        // The lane's tile database is the one it cut on the first tick
+        // (held here, so its address cannot be reused meanwhile).
+        const ServeDataset& lane_data = store.AcquireShard(s)->data();
+        if (tick == 1) {
+          cut[s] = lane_data.poi_db;
+        } else {
+          EXPECT_EQ(&lane_data.pois, cut[s].get()) << tag;
+        }
+      }
+    }
+
+    // A different city database, one POI nudged 5 m inside shard 0's
+    // tile: every lane re-cuts, and the lanes whose halo holds the moved
+    // POI re-stage the tile instead of absorbing into stale structure.
+    BoundingBox tile0 = plan_->TileBounds(0);
+    const Vec2 center{(tile0.min.x + tile0.max.x) / 2.0,
+                      (tile0.min.y + tile0.max.y) / 2.0};
+    std::vector<Poi> moved = dataset_->pois.pois();
+    Poi& nudged = moved[dataset_->pois.Nearest(center)];
+    nudged.position.x += 5.0;
+    const Vec2 nudged_at = nudged.position;
+    auto moved_generation = std::make_shared<const ServeDataset>(
+        std::move(moved), last_stays, dataset_->trajectories, last_as_of);
+    size_t restaged = 0;
+    for (size_t s = 0; s < kShards; ++s) {
+      std::string tag = "_moved_s" + std::to_string(s) + "_" +
+                        std::to_string(static_cast<int>(half_life_s));
+      RebuildResult result = rebuild(service, s, moved_generation);
+      ASSERT_TRUE(result.status.ok()) << result.status.message();
+      EXPECT_NE(&store.AcquireShard(s)->data().pois, cut[s].get()) << tag;
+      if (plan_->HaloBounds(s).Contains(nudged_at)) {
+        EXPECT_FALSE(result.in_tile) << tag;
+        ++restaged;
+      }
+      expect_matches_fresh_cut(*moved_generation, s, tag);
+    }
+    EXPECT_GE(restaged, 1u);
     service.Shutdown();
   }
 }

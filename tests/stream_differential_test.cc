@@ -443,8 +443,8 @@ TEST(StreamDifferentialTest, DecayOnCheckpointReproducesBatchOracleBytes) {
   // publish watermark, the batch oracle against ResolveDecayAsOf of the
   // same stay set — the same instant — so the bytes still match
   // exactly. This pins the whole decay data path: the accumulator's
-  // lazy epoch rescale, the generation's pinned decay_as_of, and the
-  // exact recompute in the checkpoint build.
+  // watermark, the generation's pinned decay_as_of, and the exact
+  // recompute in the checkpoint build.
   SyntheticCity city = MakeReplayCity();
   TripConfig trip_config;
   trip_config.num_agents = 300;
@@ -477,6 +477,52 @@ TEST(StreamDifferentialTest, DecayOnCheckpointReproducesBatchOracleBytes) {
                                            decay_off.miner.csd));
   EXPECT_NE(SerializeDiagram(undecayed.diagram(), "decay_off"),
             oracle_bytes);
+}
+
+TEST(StreamDifferentialTest, GenerationsShareTheBootstrapPoiDatabase) {
+  // P never changes under a stream: every generation a tick publishes
+  // points at the bootstrap's POI database instead of rebuilding it, and
+  // sharing it must not move the checkpoint off the batch oracle.
+  SyntheticCity city = MakeReplayCity();
+  TripConfig trip_config;
+  trip_config.num_agents = 300;
+  trip_config.num_days = 2;
+  trip_config.seed = 62;
+  TripDataset trips = GenerateTrips(city, trip_config);
+  std::shared_ptr<const ServeDataset> bootstrap =
+      serve::MakeServeDataset(city.pois, trips.journeys);
+  ReplaySet replay = MakeReplaySet(city, MakeReplayConfig(8));
+  ASSERT_FALSE(replay.stream.empty());
+
+  auto oracle_data = MakeOracleDataset(bootstrap, replay.traces);
+  CsdSnapshot oracle(oracle_data, TestSnapshotOptions(),
+                     shard::PlanForCity(bootstrap->pois, 4,
+                                        TestSnapshotOptions().miner.csd));
+  std::string oracle_bytes = SerializeDiagram(oracle.diagram(), "oracle");
+
+  StreamRig rig = MakeRig(bootstrap, 4);
+  for (const ReplayFix& rf : replay.stream) {
+    ASSERT_TRUE(rig.ingestor
+                    ->IngestFixes(rf.user_id,
+                                  std::span<const GpsPoint>(&rf.fix, 1))
+                    .ok());
+  }
+  rig.ingestor->FlushAll();
+  RebuildTickReport incremental = rig.ingestor->PublishTick();
+  ASSERT_TRUE(incremental.status.ok()) << incremental.status.message();
+  EXPECT_FALSE(incremental.checkpoint);
+  ASSERT_GT(incremental.shards_rebuilt, 0u);
+
+  RebuildTickReport checkpoint =
+      rig.ingestor->PublishTick(/*force_checkpoint=*/true);
+  ASSERT_TRUE(checkpoint.status.ok()) << checkpoint.status.message();
+  ASSERT_TRUE(checkpoint.checkpoint);
+  std::shared_ptr<const CsdSnapshot> global = rig.store->Acquire();
+  EXPECT_EQ(global->version(), checkpoint.version);
+  EXPECT_EQ(global->data().poi_db, bootstrap->poi_db);
+  EXPECT_EQ(&global->data().pois, &bootstrap->pois);
+  EXPECT_EQ(SerializeDiagram(global->diagram(), "shared"), oracle_bytes);
+  rig.service->Shutdown();
 }
 
 TEST(StreamDifferentialTest, IncrementalTickDivergesOnlyOnFringe) {
