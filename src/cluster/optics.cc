@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
-#include <span>
 
 #include "index/grid_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace csd {
 
@@ -19,18 +17,53 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// A point's ε-neighborhood entry with the distance computed once; shared
-/// by the core-distance selection and the reachability updates, which
-/// previously each recomputed Distance(p, q) per neighbor.
+/// by the core-distance selection and the reachability updates.
 struct Neighbor {
   size_t index;
   double distance;
 };
+
+/// Core distance of a point with ε-neighborhood `neighbors` (itself
+/// included): the min_pts-th smallest distance, +inf below min_pts.
+double CoreDistance(const std::vector<Neighbor>& neighbors, size_t min_pts,
+                    std::vector<double>& dists) {
+  size_t s = neighbors.size();
+  if (s < min_pts) return kInf;
+  size_t k = min_pts - 1;  // core distance = k-th smallest, 0-based
+  size_t j = s - k;        // equivalently the j-th largest
+  // The core distance is the value of a fixed order statistic, which any
+  // selection algorithm yields identically; pick by which side is
+  // cheaper. Dense neighborhoods sit just above min_pts, where a j-slot
+  // min-heap of the largest distances beats a full nth_element pass —
+  // but only while the heap stays small enough that its sifts are
+  // cheaper than introselect's partition passes.
+  dists.clear();
+  if (j <= 16 && j <= k) {
+    auto gt = std::greater<double>();
+    for (const Neighbor& nb : neighbors) {
+      double x = nb.distance;
+      if (dists.size() < j) {
+        dists.push_back(x);
+        std::push_heap(dists.begin(), dists.end(), gt);
+      } else if (x > dists.front()) {
+        std::pop_heap(dists.begin(), dists.end(), gt);
+        dists.back() = x;
+        std::push_heap(dists.begin(), dists.end(), gt);
+      }
+    }
+    return dists.front();
+  }
+  for (const Neighbor& nb : neighbors) dists.push_back(nb.distance);
+  std::nth_element(dists.begin(), dists.begin() + k, dists.end());
+  return dists[k];
+}
 
 }  // namespace
 
 OpticsResult RunOptics(const std::vector<Vec2>& points,
                        const OpticsOptions& options) {
   CSD_CHECK_MSG(options.max_eps > 0.0, "OPTICS max_eps must be positive");
+  CSD_CHECK_MSG(options.min_pts >= 1, "OPTICS min_pts must be at least 1");
   size_t n = points.size();
   OpticsResult result;
   result.max_eps = options.max_eps;
@@ -41,123 +74,50 @@ OpticsResult RunOptics(const std::vector<Vec2>& points,
 
   GridIndex index(points, options.max_eps);
 
-  // Every point's neighborhood is queried exactly once over the run, so
-  // batch all of them up front: the queries are independent (the hot part
-  // of OPTICS) and the ordering pass below becomes pure priority-queue
-  // bookkeeping over cached distances. The lists live in one CSR block —
-  // with workers, a count pass sizes the flat array and each point fills
-  // its own disjoint range; on a serial pool one appending pass builds
-  // the identical block without paying for the queries twice.
-  // thread_local so the refinement stage's burst of small OPTICS runs
-  // reuses one grown block instead of re-paying vector doubling per call.
-  // The locals re-bind the names so the ParallelFor lambdas below capture
-  // (and the workers write through) this caller's instances.
-  static thread_local std::vector<uint32_t> nb_offsets_tls;
-  static thread_local std::vector<Neighbor> nb_flat_tls;
-  std::vector<uint32_t>& nb_offsets = nb_offsets_tls;
-  std::vector<Neighbor>& nb_flat = nb_flat_tls;
-  nb_offsets.assign(n + 1, 0);
-  nb_flat.clear();
-  // Core distances (the min_pts-th smallest neighbor distance) come out
-  // of the same pass while the freshly written list is still in cache —
-  // the ordering loop then never rescans a neighborhood for them.
-  auto core_from_range = [&](size_t p, std::vector<double>& dists) {
-    std::span<const Neighbor> neighbors(nb_flat.data() + nb_offsets[p],
-                                        nb_flat.data() + nb_offsets[p + 1]);
-    size_t s = neighbors.size();
-    if (s < options.min_pts) return kInf;
-    size_t k = options.min_pts - 1;  // core distance = k-th smallest, 0-based
-    size_t j = s - k;                // equivalently the j-th largest
-    // The core distance is the value of a fixed order statistic, which any
-    // selection algorithm yields identically; pick by which side is
-    // cheaper. Dense neighborhoods sit just above min_pts, where a j-slot
-    // min-heap of the largest distances beats a full nth_element pass —
-    // but only while the heap stays small enough that its sifts are
-    // cheaper than introselect's partition passes.
-    if (j <= 16 && j <= k) {
-      dists.clear();
-      auto gt = std::greater<double>();
-      for (const Neighbor& nb : neighbors) {
-        double x = nb.distance;
-        if (dists.size() < j) {
-          dists.push_back(x);
-          std::push_heap(dists.begin(), dists.end(), gt);
-        } else if (x > dists.front()) {
-          std::pop_heap(dists.begin(), dists.end(), gt);
-          dists.back() = x;
-          std::push_heap(dists.begin(), dists.end(), gt);
-        }
-      }
-      return dists.front();
-    }
-    dists.clear();
-    for (const Neighbor& nb : neighbors) dists.push_back(nb.distance);
-    std::nth_element(dists.begin(), dists.begin() + k, dists.end());
-    return dists[k];
-  };
-  if (DefaultParallelism() > 1) {
-    ParallelFor(
-        n,
-        [&](size_t p) {
-          nb_offsets[p + 1] = static_cast<uint32_t>(
-              index.CountInRadius(points[p], options.max_eps));
-        },
-        {.grain = 32});
-    for (size_t p = 0; p < n; ++p) nb_offsets[p + 1] += nb_offsets[p];
-    nb_flat.resize(nb_offsets[n]);
-    ParallelFor(
-        n,
-        [&](size_t p) {
-          size_t w = nb_offsets[p];
-          // sqrt(d2) is Distance(points[p], points[q]) bit for bit; taking
-          // it from the query skips a second trip through the point table.
-          index.ForEachInRadiusSq(
-              points[p], options.max_eps,
-              [&](size_t q, double d2) { nb_flat[w++] = {q, std::sqrt(d2)}; });
-        },
-        {.grain = 32});
-    ParallelFor(
-        n,
-        [&](size_t p) {
-          static thread_local std::vector<double> dists;
-          result.core_distance[p] = core_from_range(p, dists);
-        },
-        {.grain = 32});
-  } else {
+  // OPTICS needs a point's neighborhood exactly once, when the ordering
+  // loop expands it, so each neighborhood is queried then and dropped:
+  // one list (at most n entries) serves the point's core distance and its
+  // reachability updates, and no per-point neighborhood is ever stored.
+  // The scratch is thread_local so the refinement stage's burst of small
+  // runs grows it once per thread instead of once per run.
+  using Entry = std::pair<double, size_t>;
+  struct Scratch {
+    std::vector<Neighbor> neighbors;
     std::vector<double> dists;
-    for (size_t p = 0; p < n; ++p) {
-      index.ForEachInRadiusSq(points[p], options.max_eps,
-                              [&](size_t q, double d2) {
-                                nb_flat.push_back({q, std::sqrt(d2)});
-                              });
-      nb_offsets[p + 1] = static_cast<uint32_t>(nb_flat.size());
-      result.core_distance[p] = core_from_range(p, dists);
-    }
-  }
-  auto neighborhood = [&](size_t p) {
-    return std::span<const Neighbor>(nb_flat.data() + nb_offsets[p],
-                                     nb_flat.data() + nb_offsets[p + 1]);
+    std::vector<char> processed;
+    std::vector<Entry> seeds;
   };
-
-  static thread_local std::vector<char> processed;
+  static thread_local Scratch scratch;
+  std::vector<Neighbor>& neighbors = scratch.neighbors;
+  std::vector<char>& processed = scratch.processed;
   processed.assign(n, 0);
 
   // Seed queue keyed by current reachability; stale entries are skipped.
   // A plain vector driven by push_heap/pop_heap is exactly the heap
   // std::priority_queue is specified to maintain (same comparator, same
   // push_back/push_heap and pop_heap/pop_back sequence, so the same pop
-  // order under ties); keeping it thread_local preserves its capacity
-  // across the many small OPTICS runs the refinement stage issues.
-  using Entry = std::pair<double, size_t>;
+  // order under ties).
   auto cmp = [](const Entry& a, const Entry& b) { return a.first > b.first; };
-  static thread_local std::vector<Entry> seeds;
+  std::vector<Entry>& seeds = scratch.seeds;
   seeds.clear();
 
-  auto update_seeds = [&](size_t p, double core_dist) {
-    for (const Neighbor& nb : neighborhood(p)) {
+  auto expand = [&](size_t p) {
+    processed[p] = 1;
+    result.ordering.push_back(p);
+    neighbors.clear();
+    // sqrt(d2) is Distance(points[p], points[q]) bit for bit; taking it
+    // from the query skips a second trip through the point table.
+    index.ForEachInRadiusSq(points[p], options.max_eps,
+                            [&](size_t q, double d2) {
+                              neighbors.push_back({q, std::sqrt(d2)});
+                            });
+    double core = CoreDistance(neighbors, options.min_pts, scratch.dists);
+    result.core_distance[p] = core;
+    if (core == kInf) return;
+    for (const Neighbor& nb : neighbors) {
       size_t q = nb.index;
       if (processed[q]) continue;
-      double new_reach = std::max(core_dist, nb.distance);
+      double new_reach = std::max(core, nb.distance);
       if (new_reach < result.reachability[q]) {
         result.reachability[q] = new_reach;
         seeds.emplace_back(new_reach, q);
@@ -168,20 +128,13 @@ OpticsResult RunOptics(const std::vector<Vec2>& points,
 
   for (size_t start = 0; start < n; ++start) {
     if (processed[start]) continue;
-    processed[start] = 1;
-    result.ordering.push_back(start);
-    double core = result.core_distance[start];
-    if (core != kInf) update_seeds(start, core);
-
+    expand(start);
     while (!seeds.empty()) {
       auto [reach, p] = seeds.front();
       std::pop_heap(seeds.begin(), seeds.end(), cmp);
       seeds.pop_back();
       if (processed[p] || reach != result.reachability[p]) continue;  // stale
-      processed[p] = 1;
-      result.ordering.push_back(p);
-      double p_core = result.core_distance[p];
-      if (p_core != kInf) update_seeds(p, p_core);
+      expand(p);
     }
   }
   return result;
@@ -288,7 +241,8 @@ Clustering OpticsCluster(const std::vector<Vec2>& points, size_t min_pts,
   static obs::Histogram& points_hist =
       obs::MetricsRegistry::Get().GetHistogram(
           "csd_optics_points", "Points per OPTICS invocation",
-          {8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
+          {8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
+           4096.0, 8192.0, 16384.0});
   runs_counter.Increment();
   points_hist.Observe(static_cast<double>(points.size()));
   OpticsOptions options;

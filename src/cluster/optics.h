@@ -14,6 +14,7 @@ struct OpticsOptions {
 
   /// MinPts for core-distance computation. Algorithm 4 passes the support
   /// threshold σ here ("cluster size threshold σ to mark all core points").
+  /// Must be at least 1 (a point counts itself).
   size_t min_pts = 5;
 };
 
@@ -38,7 +39,8 @@ struct OpticsResult {
   size_t size() const { return ordering.size(); }
 };
 
-/// Runs OPTICS over planar points.
+/// Runs OPTICS over planar points: one serial pass that queries each
+/// point's ε-neighborhood once, when the ordering expands it.
 OpticsResult RunOptics(const std::vector<Vec2>& points,
                        const OpticsOptions& options);
 

@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace csd {
 
@@ -210,14 +211,23 @@ std::vector<FineGrainedPattern> CounterpartClusterExtract(
   static obs::Counter& fine_counter = obs::MetricsRegistry::Get().GetCounter(
       "csd_fine_patterns_total",
       "Fine-grained patterns produced by counterpart clustering");
+  // Coarse patterns refine independently; each writes its own slot and
+  // the slots are concatenated in pattern order, so the output does not
+  // depend on the thread count.
+  std::vector<CoarsePattern> coarse = MineCoarsePatterns(db, options);
+  std::vector<std::vector<FineGrainedPattern>> fine(coarse.size());
+  ParallelFor(
+      coarse.size(),
+      [&](size_t i) {
+        fine[i] = RefineByCounterpartCluster(coarse[i], db, options);
+      },
+      {.grain = 1});
+  coarse_counter.Increment(coarse.size());
   std::vector<FineGrainedPattern> patterns;
-  for (const CoarsePattern& coarse : MineCoarsePatterns(db, options)) {
-    coarse_counter.Increment();
-    std::vector<FineGrainedPattern> fine =
-        RefineByCounterpartCluster(coarse, db, options);
-    fine_counter.Increment(fine.size());
-    patterns.insert(patterns.end(), std::make_move_iterator(fine.begin()),
-                    std::make_move_iterator(fine.end()));
+  for (std::vector<FineGrainedPattern>& f : fine) {
+    fine_counter.Increment(f.size());
+    patterns.insert(patterns.end(), std::make_move_iterator(f.begin()),
+                    std::make_move_iterator(f.end()));
   }
   return patterns;
 }

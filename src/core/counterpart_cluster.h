@@ -78,7 +78,7 @@ std::vector<FineGrainedPattern> RefineByCounterpartCluster(
 
 /// End-to-end Pattern Extractor of Pervasive Miner:
 /// MineCoarsePatterns + RefineByCounterpartCluster over every coarse
-/// pattern.
+/// pattern, refined in parallel and emitted in coarse-pattern order.
 std::vector<FineGrainedPattern> CounterpartClusterExtract(
     const SemanticTrajectoryDb& db, const ExtractionOptions& options);
 

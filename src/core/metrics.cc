@@ -6,6 +6,7 @@
 
 #include "geo/stats.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace csd {
 
@@ -93,15 +94,22 @@ ApproachMetrics EvaluateApproach(
   out.num_patterns = patterns.size();
   if (patterns.empty()) return out;
 
+  // Patterns score independently, each into its own slot; the folds
+  // below run in pattern order, so every sum is the serial one.
+  std::vector<PatternMetrics> scored(patterns.size());
+  ParallelFor(
+      patterns.size(),
+      [&](size_t i) { scored[i] = EvaluatePattern(patterns[i], reference); },
+      {.grain = 1});
   std::vector<double> sparsities;
   std::vector<double> consistencies;
   sparsities.reserve(patterns.size());
   consistencies.reserve(patterns.size());
-  for (const FineGrainedPattern& p : patterns) {
-    PatternMetrics m = EvaluatePattern(p, reference);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const PatternMetrics& m = scored[i];
     sparsities.push_back(m.spatial_sparsity);
     consistencies.push_back(m.semantic_consistency);
-    out.coverage += p.support();
+    out.coverage += patterns[i].support();
 
     size_t bin = bin_width > 0.0
                      ? static_cast<size_t>(m.spatial_sparsity / bin_width)

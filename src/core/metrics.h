@@ -47,7 +47,8 @@ struct ApproachMetrics {
 };
 
 /// Evaluates a whole pattern set (histogram uses `num_bins` bins of width
-/// `bin_width` meters, Figure 9's 20 × 5 m by default).
+/// `bin_width` meters, Figure 9's 20 × 5 m by default). Patterns are
+/// scored in parallel, so `reference` must be safe to call concurrently.
 ApproachMetrics EvaluateApproach(
     const std::vector<FineGrainedPattern>& patterns,
     const SemanticRecognizer& reference, size_t num_bins = 20,

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <span>
+#include <string>
 
 #include "cluster/dbscan.h"
 #include "cluster/mean_shift.h"
 #include "cluster/optics.h"
+#include "index/grid_index.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace csd {
@@ -186,6 +194,205 @@ TEST(OpticsTest, SingleDenseBlobIsOneCluster) {
   EXPECT_EQ(c.num_clusters, 1);
   EXPECT_EQ(c.NoiseCount(), 0u);
 }
+
+TEST(OpticsTest, RejectsZeroMinPts) {
+  std::vector<Vec2> pts = {{0, 0}, {10, 0}, {20, 0}};
+  OpticsOptions options;
+  options.max_eps = 100.0;
+  options.min_pts = 0;
+  EXPECT_DEATH(RunOptics(pts, options), "min_pts");
+}
+
+// --- OPTICS oracle ----------------------------------------------------------
+
+/// The neighbor-list OPTICS that RunOptics replaced, kept as the oracle:
+/// every point's ε-neighborhood (with distances) is precomputed into one
+/// CSR block — in parallel when the pool has workers — and core distances
+/// are taken from it before the ordering pass replays the cached lists.
+OpticsResult RunOpticsReference(const std::vector<Vec2>& points,
+                                const OpticsOptions& options) {
+  struct Neighbor {
+    size_t index;
+    double distance;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  size_t n = points.size();
+  OpticsResult result;
+  result.max_eps = options.max_eps;
+  result.reachability.assign(n, kInf);
+  result.core_distance.assign(n, kInf);
+  result.ordering.reserve(n);
+  if (n == 0) return result;
+
+  GridIndex index(points, options.max_eps);
+  std::vector<uint32_t> nb_offsets(n + 1, 0);
+  std::vector<Neighbor> nb_flat;
+  auto core_from_range = [&](size_t p, std::vector<double>& dists) {
+    std::span<const Neighbor> neighbors(nb_flat.data() + nb_offsets[p],
+                                        nb_flat.data() + nb_offsets[p + 1]);
+    size_t s = neighbors.size();
+    if (s < options.min_pts) return kInf;
+    size_t k = options.min_pts - 1;
+    size_t j = s - k;
+    if (j <= 16 && j <= k) {
+      dists.clear();
+      auto gt = std::greater<double>();
+      for (const Neighbor& nb : neighbors) {
+        double x = nb.distance;
+        if (dists.size() < j) {
+          dists.push_back(x);
+          std::push_heap(dists.begin(), dists.end(), gt);
+        } else if (x > dists.front()) {
+          std::pop_heap(dists.begin(), dists.end(), gt);
+          dists.back() = x;
+          std::push_heap(dists.begin(), dists.end(), gt);
+        }
+      }
+      return dists.front();
+    }
+    dists.clear();
+    for (const Neighbor& nb : neighbors) dists.push_back(nb.distance);
+    std::nth_element(dists.begin(), dists.begin() + k, dists.end());
+    return dists[k];
+  };
+  if (DefaultParallelism() > 1) {
+    ParallelFor(
+        n,
+        [&](size_t p) {
+          nb_offsets[p + 1] = static_cast<uint32_t>(
+              index.CountInRadius(points[p], options.max_eps));
+        },
+        {.grain = 32});
+    for (size_t p = 0; p < n; ++p) nb_offsets[p + 1] += nb_offsets[p];
+    nb_flat.resize(nb_offsets[n]);
+    ParallelFor(
+        n,
+        [&](size_t p) {
+          size_t w = nb_offsets[p];
+          index.ForEachInRadiusSq(
+              points[p], options.max_eps,
+              [&](size_t q, double d2) { nb_flat[w++] = {q, std::sqrt(d2)}; });
+        },
+        {.grain = 32});
+    ParallelFor(
+        n,
+        [&](size_t p) {
+          static thread_local std::vector<double> dists;
+          result.core_distance[p] = core_from_range(p, dists);
+        },
+        {.grain = 32});
+  } else {
+    std::vector<double> dists;
+    for (size_t p = 0; p < n; ++p) {
+      index.ForEachInRadiusSq(points[p], options.max_eps,
+                              [&](size_t q, double d2) {
+                                nb_flat.push_back({q, std::sqrt(d2)});
+                              });
+      nb_offsets[p + 1] = static_cast<uint32_t>(nb_flat.size());
+      result.core_distance[p] = core_from_range(p, dists);
+    }
+  }
+
+  std::vector<char> processed(n, 0);
+  using Entry = std::pair<double, size_t>;
+  auto cmp = [](const Entry& a, const Entry& b) { return a.first > b.first; };
+  std::vector<Entry> seeds;
+  auto update_seeds = [&](size_t p, double core_dist) {
+    for (uint32_t e = nb_offsets[p]; e < nb_offsets[p + 1]; ++e) {
+      size_t q = nb_flat[e].index;
+      if (processed[q]) continue;
+      double new_reach = std::max(core_dist, nb_flat[e].distance);
+      if (new_reach < result.reachability[q]) {
+        result.reachability[q] = new_reach;
+        seeds.emplace_back(new_reach, q);
+        std::push_heap(seeds.begin(), seeds.end(), cmp);
+      }
+    }
+  };
+  for (size_t start = 0; start < n; ++start) {
+    if (processed[start]) continue;
+    processed[start] = 1;
+    result.ordering.push_back(start);
+    double core = result.core_distance[start];
+    if (core != kInf) update_seeds(start, core);
+    while (!seeds.empty()) {
+      auto [reach, p] = seeds.front();
+      std::pop_heap(seeds.begin(), seeds.end(), cmp);
+      seeds.pop_back();
+      if (processed[p] || reach != result.reachability[p]) continue;
+      processed[p] = 1;
+      result.ordering.push_back(p);
+      double p_core = result.core_distance[p];
+      if (p_core != kInf) update_seeds(p, p_core);
+    }
+  }
+  return result;
+}
+
+/// Seeded blobs on a 5 m lattice: rounding makes many points co-located
+/// and many pairwise distances equal, and every seventh point is repeated
+/// verbatim, so the seed queue sees plenty of reachability ties.
+std::vector<Vec2> TiedPoints(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vec2> centers;
+  for (int c = 0; c < 6; ++c) {
+    centers.push_back({rng.Uniform(0.0, 2000.0), rng.Uniform(0.0, 2000.0)});
+  }
+  std::vector<Vec2> pts;
+  pts.reserve(n);
+  while (pts.size() < n) {
+    if (pts.size() % 7 == 6) {
+      Vec2 twin = pts[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(pts.size()) - 1))];
+      pts.push_back(twin);
+      continue;
+    }
+    const Vec2& c = centers[static_cast<size_t>(rng.UniformInt(0, 5))];
+    double x = c.x + rng.Gaussian(0.0, 40.0);
+    double y = c.y + rng.Gaussian(0.0, 40.0);
+    pts.push_back({5.0 * std::round(x / 5.0), 5.0 * std::round(y / 5.0)});
+  }
+  return pts;
+}
+
+void ExpectBitIdentical(const std::vector<double>& want,
+                        const std::vector<double>& got,
+                        const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(want[i]), std::bit_cast<uint64_t>(got[i]))
+        << what << " differs at point " << i << ": " << want[i] << " vs "
+        << got[i];
+  }
+}
+
+TEST(OpticsOracleTest, StreamingPassMatchesNeighborListReference) {
+  for (size_t threads : {1u, 4u}) {
+    SetDefaultParallelism(threads);
+    for (size_t min_pts : {2u, 5u, 50u}) {
+      for (size_t n : {size_t{0}, size_t{1}, min_pts - 1, size_t{300},
+                       size_t{3000}}) {
+        std::string label = "threads=" + std::to_string(threads) +
+                            " min_pts=" + std::to_string(min_pts) +
+                            " n=" + std::to_string(n);
+        std::vector<Vec2> pts = TiedPoints(n, 17 + n + min_pts);
+        OpticsOptions options;
+        options.max_eps = 60.0;
+        options.min_pts = min_pts;
+        OpticsResult want = RunOpticsReference(pts, options);
+        OpticsResult got = RunOptics(pts, options);
+        EXPECT_EQ(want.ordering, got.ordering) << label;
+        ExpectBitIdentical(want.reachability, got.reachability,
+                           label + " reachability");
+        ExpectBitIdentical(want.core_distance, got.core_distance,
+                           label + " core_distance");
+        EXPECT_EQ(got.max_eps, options.max_eps) << label;
+      }
+    }
+  }
+  SetDefaultParallelism(0);
+}
+
 
 // --- Mean Shift ----------------------------------------------------------------
 
