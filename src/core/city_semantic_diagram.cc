@@ -1,8 +1,10 @@
 #include "core/city_semantic_diagram.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 
+#include "core/component_stages.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -77,53 +79,65 @@ CitySemanticDiagram CsdBuilder::Build(const PoiDatabase& pois,
   }
   PopularityModel& popularity = *popularity_holder;
 
-  // Step 1: popularity-based clustering (Algorithm 1).
-  PopularityClusteringResult coarse;
-  {
+  // The stage graph and its component index. Injected caches are used as
+  // they are. Otherwise the CSRs are built here through the shared
+  // range-CSR builder, under the spans of the stages whose range queries
+  // they are, and never held together (the 80k-POI mine-batch city has
+  // 16M ε and 9M merge entries): the merge lists are built for the index
+  // and dropped, the ε lists serve clustering and are dropped, and the
+  // merge lists are built again for merging.
+  std::vector<uint32_t> eps_offsets;
+  std::vector<PoiId> eps_flat;
+  std::vector<uint32_t> merge_offsets;
+  std::vector<PoiId> merge_flat;
+  StageGraph graph;
+  auto build_eps = [&] {
     CSD_TRACE_SPAN("csd_build/popularity_clustering");
-    coarse = caches != nullptr
-                 ? PopularityBasedClustering(pois, popularity,
-                                             options_.clustering,
-                                             caches->eps_offsets,
-                                             caches->eps_flat)
-                 : PopularityBasedClustering(pois, popularity,
-                                             options_.clustering);
-  }
-
-  // Step 2: semantic purification (Algorithm 2).
-  std::vector<std::vector<PoiId>> purified;
-  {
-    CSD_TRACE_SPAN("csd_build/purification");
-    purified = options_.enable_purification
-                   ? SemanticPurification(std::move(coarse.clusters), pois,
-                                          options_.purification)
-                   : std::move(coarse.clusters);
-  }
-
-  // Step 3: semantic unit merging.
-  std::vector<std::vector<PoiId>> merged;
-  {
+    BuildEpsCsr(pois, options_.clustering.eps, eps_offsets, eps_flat);
+    graph.eps_offsets = eps_offsets;
+    graph.eps_flat = eps_flat;
+  };
+  auto build_merge = [&] {
     CSD_TRACE_SPAN("csd_build/unit_merging");
-    if (!options_.enable_merging) {
-      merged = std::move(purified);
-    } else if (caches != nullptr) {
-      merged = SemanticUnitMerging(purified, coarse.unclustered, pois,
-                                   popularity, options_.merging,
-                                   caches->merge_offsets, caches->merge_flat);
-    } else {
-      merged = SemanticUnitMerging(purified, coarse.unclustered, pois,
-                                   popularity, options_.merging);
-    }
+    BuildMergeCsr(pois, options_.merging.neighbor_distance, merge_offsets,
+                  merge_flat);
+    graph.merge_offsets = merge_offsets;
+    graph.merge_flat = merge_flat;
+  };
+  ComponentIndex index;
+  std::function<void()> before_merging;
+  if (caches != nullptr) {
+    graph = StageGraph{caches->eps_offsets, caches->eps_flat,
+                       caches->merge_offsets, caches->merge_flat};
+    index = BuildComponentIndex(graph, options_);
+  } else {
+    const bool index_reads_eps =
+        options_.clustering.eps > options_.merging.neighbor_distance;
+    if (index_reads_eps) build_eps();
+    build_merge();
+    index = BuildComponentIndex(graph, options_);
+    merge_offsets = std::vector<uint32_t>();
+    merge_flat = std::vector<PoiId>();
+    graph.merge_offsets = {};
+    graph.merge_flat = {};
+    if (!index_reads_eps) build_eps();
+    before_merging = [&] {
+      eps_offsets = std::vector<uint32_t>();
+      eps_flat = std::vector<PoiId>();
+      graph.eps_offsets = {};
+      graph.eps_flat = {};
+      build_merge();
+    };
   }
 
-  std::vector<SemanticUnit> units;
-  units.reserve(merged.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    units.push_back(MakeSemanticUnit(static_cast<UnitId>(i),
-                                     std::move(merged[i]), pois, popularity));
-  }
-  return CitySemanticDiagram(&pois, std::move(units),
-                             popularity.popularities());
+  // Clustering → purification → merging (Section 4.1), component by
+  // component on every lane, spliced into the serial pass's unit order.
+  std::vector<uint32_t> components(index.size());
+  for (uint32_t c = 0; c < components.size(); ++c) components[c] = c;
+  std::vector<StagedUnit> units =
+      RunComponentStages(pois, popularity, options_, graph, index,
+                         components, before_merging);
+  return AssembleDiagram(pois, popularity, std::move(units));
 }
 
 }  // namespace csd

@@ -77,8 +77,9 @@ class CitySemanticDiagram {
 /// Precomputed inputs of the expensive, spatially local construction
 /// stages, in CSR layout. A sharded build (shard/sharded_build.h) fills
 /// one of these per-tile in parallel — every entry a pure function of the
-/// tile plus its halo — and then replays the unchanged serial stage code
-/// against it, producing a diagram byte-identical to a monolithic build.
+/// tile plus its halo — and then runs the component stage runner
+/// (core/component_stages.h) against it, producing a diagram
+/// byte-identical to a monolithic build.
 struct CsdStageCaches {
   /// pop(p^I) of Equation (3), per POI.
   std::vector<double> popularity;
@@ -96,6 +97,10 @@ struct CsdStageCaches {
 
 /// Orchestrates the three construction steps of Section 4.1:
 /// popularity-based clustering → semantic purification → unit merging.
+/// Every build takes one path: the ε and merge CSRs (injected or built
+/// here), their component index, then the component stage runner
+/// (core/component_stages.h), whose output equals one serial pass of the
+/// stage functions over the whole city, byte for byte.
 class CsdBuilder {
  public:
   explicit CsdBuilder(CsdBuildOptions options = {});

@@ -2,11 +2,11 @@
 #define CSD_CORE_INCREMENTAL_CSD_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "core/city_semantic_diagram.h"
+#include "core/component_stages.h"
 #include "core/popularity.h"
 #include "poi/poi_database.h"
 #include "traj/trajectory.h"
@@ -16,19 +16,15 @@ namespace csd {
 /// Delta-aware CSD construction for one tile: absorbs stay-point
 /// insertions (and popularity decay) without a full tile recluster.
 ///
-/// The engine is built around the ε∪merge connectivity structure of the
-/// tile's POI set, which streams never change (they add stays, never
-/// POIs): two POIs are connected when one's ε_p-neighborhood or
-/// merge-proximity list contains the other. Algorithm 1's greedy
-/// expansion never crosses an ε-component boundary and merge edges never
-/// cross a component of the union graph, so each connected component
-/// clusters, purifies and merges independently of every other. A tick
-/// therefore only re-runs the stages on the components a new stay
-/// touched (anything within R₃σ of one) — the dirty components — and
-/// splices the cached results of the clean components back in, in the
-/// canonical order a from-scratch build would have produced
-/// (clusters ascend by seed id, purified units are cluster-major blocks,
-/// merge groups order by their smallest node; see unit_merging.h).
+/// The engine keeps the tile's ε/merge CSRs and their component index
+/// (core/component_stages.h), which streams never change (they add stays,
+/// never POIs). Each component of the ε∪merge graph clusters, purifies
+/// and merges independently of every other, so a tick re-runs only the
+/// components a new stay touched (anything within R₃σ of one) — the dirty
+/// components — through the same component stage runner a from-scratch
+/// CsdBuilder::Build uses, and splices the cached units of the clean
+/// components back in by key, the canonical order a from-scratch build
+/// produces.
 ///
 /// Exactness: with decay off, a clean component's POIs see the same stay
 /// multiset in the same grid-enumeration order (the old canonical stay
@@ -44,7 +40,7 @@ namespace csd {
 ///
 /// Past `churn_threshold` (fraction of tile POIs in dirty components)
 /// the incremental bookkeeping stops paying for itself and the engine
-/// falls back to re-running every stage — still against the cached
+/// falls back to re-running every component — still against the cached
 /// ε/merge CSRs, so even the fallback skips all POI-POI range queries.
 ///
 /// Not thread-safe: each per-shard rebuild lane of serve::ServeService
@@ -90,29 +86,10 @@ class IncrementalTileCsd {
   uint64_t generations() const { return generations_; }
 
  private:
-  /// Canonical ordering key of a merge node, total across generations:
-  /// purified-unit node (kind 0) = (owning cluster's seed id, block index
-  /// inside the cluster); absorbed-singleton node (kind 1) = (POI id, 0).
-  /// Matches the node numbering of a from-scratch build — clusters ascend
-  /// by seed, blocks are cluster-major, singletons follow all units — so
-  /// sorting cached and fresh groups by key reproduces the full build's
-  /// unit order.
-  static uint64_t NodeKey(bool unclustered, uint32_t a, uint32_t b);
-
-  struct ClusterState {
-    std::vector<PoiId> members;              // clustering order, seed first
-    std::vector<std::vector<PoiId>> blocks;  // purified units, FIFO order
-  };
-  struct GroupState {
-    std::vector<uint64_t> keys;  // ascending; front() is the root
-    uint32_t component = 0;
-  };
-
   void BuildConnectivity(const PoiDatabase& pois);
-  /// Runs clustering → purification → merging on `active` (empty = every
-  /// POI), replacing the cached state of the covered components.
-  void RunStages(const PoiDatabase& pois, std::vector<char> active);
-  CitySemanticDiagram Materialize(const PoiDatabase& pois) const;
+  StageGraph graph() const {
+    return StageGraph{eps_offsets_, eps_flat_, merge_offsets_, merge_flat_};
+  }
 
   Options options_;
   uint64_t generations_ = 0;
@@ -124,16 +101,12 @@ class IncrementalTileCsd {
   std::vector<PoiId> eps_flat_;
   std::vector<uint32_t> merge_offsets_;
   std::vector<PoiId> merge_flat_;
-  std::vector<uint32_t> component_of_;
-  std::vector<uint32_t> component_size_;
+  ComponentIndex components_;
 
-  // Regenerated or spliced every Apply. Unclustered POIs need no list of
-  // their own: each lives on as a singleton group (kind-1 key), which is
-  // exactly how the POI-level merging wrapper sees them.
+  // Regenerated or spliced every Apply.
   std::optional<PopularityModel> popularity_;
   std::vector<StayPoint> applied_stays_;
-  std::map<uint32_t, ClusterState> clusters_;  // keyed by seed POI id
-  std::vector<GroupState> groups_;             // ascending by front key
+  std::vector<StagedUnit> units_;  // ascending by key
 };
 
 }  // namespace csd

@@ -4,7 +4,7 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/parallel.h"
+#include "util/dense_scratch.h"
 
 namespace csd {
 
@@ -22,89 +22,54 @@ bool PopularityCompatible(double pop_a, double pop_b, double alpha) {
   return lo / hi >= alpha;
 }
 
+// Per-POI state word of PopularityBasedClusteringOn.
+constexpr uint32_t kTaken = 1u << 31;      // removed from P (line 3 / 8)
+constexpr uint32_t kClustered = 1u << 30;  // member of a kept cluster
+constexpr uint32_t kEpochMask = kClustered - 1;  // "queued" seed epoch
+
 }  // namespace
 
 PopularityClusteringResult PopularityBasedClustering(
     const PoiDatabase& pois, const PopularityModel& popularity,
     const PopularityClusteringOptions& options,
-    std::span<const uint32_t> eps_offsets, std::span<const PoiId> eps_flat,
-    std::span<const char> active) {
+    std::span<const uint32_t> eps_offsets, std::span<const PoiId> eps_flat) {
+  // The greedy expansion consumes every POI's ε-neighborhood at most once;
+  // the range queries dominate and are independent, so they run up front
+  // (in parallel when the pool has workers) unless the caller injected
+  // them, and the expansion replays the cached lists.
+  std::vector<uint32_t> nb_offsets;
+  std::vector<PoiId> nb_flat;
+  if (eps_offsets.empty()) {
+    BuildEpsCsr(pois, options.eps, nb_offsets, nb_flat);
+    eps_offsets = nb_offsets;
+    eps_flat = nb_flat;
+  }
+  std::vector<PoiId> all(pois.size());
+  for (size_t pid = 0; pid < all.size(); ++pid) {
+    all[pid] = static_cast<PoiId>(pid);
+  }
+  PopularityClusteringResult result;
+  PopularityBasedClusteringOn(pois, popularity, options, eps_offsets,
+                              eps_flat, StageDomain{.pois = all}, result);
+  return result;
+}
+
+void PopularityBasedClusteringOn(const PoiDatabase& pois,
+                                 const PopularityModel& popularity,
+                                 const PopularityClusteringOptions& options,
+                                 std::span<const uint32_t> eps_offsets,
+                                 std::span<const PoiId> eps_flat,
+                                 const StageDomain& domain,
+                                 PopularityClusteringResult& out) {
   CSD_CHECK_MSG(options.eps > 0.0, "eps must be positive");
   CSD_CHECK_MSG(options.alpha > 0.0 && options.alpha <= 1.0,
                 "alpha must be in (0, 1]");
-
-  size_t n = pois.size();
-  PopularityClusteringResult result;
-  std::vector<char> taken(n, 0);   // removed from P (line 3 / line 8)
-  std::vector<char> in_cluster(n, 0);  // member of a kept cluster
-  if (!active.empty()) {
-    CSD_CHECK_MSG(active.size() == n, "active mask has wrong size");
-    // Restricted run: everything unmarked is withdrawn from P before the
-    // greedy loop, exactly as if those POIs had already been consumed.
-    for (size_t pid = 0; pid < n; ++pid) {
-      if (!active[pid]) taken[pid] = 1;
-    }
-  }
-
-  // The greedy expansion below consumes every POI's ε-neighborhood at
-  // most once, in POI order inside each cluster. The range queries
-  // dominate the stage and are independent, so batch them up front in
-  // parallel; the serial expansion then replays the cached lists and
-  // produces the exact sequence the query-on-demand version did. The
-  // cache is CSR instead of n individually grown vectors: with workers, a
-  // count pass sizes one flat array and a fill pass writes each POI's
-  // disjoint range; on a serial pool one appending pass builds the
-  // identical block without running every query twice. A caller may also
-  // inject the cache wholesale (sharded tile builds).
-  std::vector<uint32_t> nb_offsets;
-  std::vector<PoiId> nb_flat;
-  const uint32_t* offsets_ptr = nullptr;
-  const PoiId* flat_ptr = nullptr;
-  if (!eps_offsets.empty()) {
-    CSD_CHECK_MSG(eps_offsets.size() == n + 1,
-                  "injected eps cache has wrong offset count");
-    offsets_ptr = eps_offsets.data();
-    flat_ptr = eps_flat.data();
-  } else if (DefaultParallelism() > 1) {
-    nb_offsets.assign(n + 1, 0);
-    ParallelFor(
-        n,
-        [&](size_t pid) {
-          size_t count = 0;
-          pois.ForEachInRange(pois.poi(static_cast<PoiId>(pid)).position,
-                              options.eps, [&](PoiId) { ++count; });
-          nb_offsets[pid + 1] = static_cast<uint32_t>(count);
-        },
-        {.grain = 64});
-    for (size_t pid = 0; pid < n; ++pid) {
-      nb_offsets[pid + 1] += nb_offsets[pid];
-    }
-    nb_flat.resize(nb_offsets[n]);
-    ParallelFor(
-        n,
-        [&](size_t pid) {
-          size_t w = nb_offsets[pid];
-          pois.ForEachInRange(pois.poi(static_cast<PoiId>(pid)).position,
-                              options.eps,
-                              [&](PoiId found) { nb_flat[w++] = found; });
-        },
-        {.grain = 64});
-  } else {
-    nb_offsets.assign(n + 1, 0);
-    for (size_t pid = 0; pid < n; ++pid) {
-      pois.ForEachInRange(pois.poi(static_cast<PoiId>(pid)).position,
-                          options.eps,
-                          [&](PoiId found) { nb_flat.push_back(found); });
-      nb_offsets[pid + 1] = static_cast<uint32_t>(nb_flat.size());
-    }
-  }
-  if (offsets_ptr == nullptr) {
-    offsets_ptr = nb_offsets.data();
-    flat_ptr = nb_flat.data();
-  }
+  CSD_CHECK_MSG(eps_offsets.size() == pois.size() + 1,
+                "eps cache has wrong offset count");
+  CSD_CHECK_MSG(domain.size() < kEpochMask, "stage domain too large");
   auto eps_neighbors = [&](PoiId pid) {
-    return std::span<const PoiId>(flat_ptr + offsets_ptr[pid],
-                                  flat_ptr + offsets_ptr[pid + 1]);
+    return eps_flat.subspan(eps_offsets[pid],
+                            eps_offsets[pid + 1] - eps_offsets[pid]);
   };
 
   // Candidate entry: the POI plus the member whose range search found it
@@ -114,27 +79,33 @@ PopularityClusteringResult PopularityBasedClustering(
     PoiId discoverer;
   };
 
-  // Epoch-stamped "queued" marker: one array reused across seeds instead
-  // of an O(n) allocation per seed (which made the stage quadratic). The
-  // cluster and candidate buffers are hoisted the same way; only kept
-  // clusters are materialized.
-  std::vector<uint32_t> queued(n, 0);
+  // One epoch-stamped word per domain POI, reused across calls on this
+  // thread: the taken (removed from P) and clustered flags plus the
+  // per-seed "queued" epoch. Reset is O(1), so a call costs work
+  // proportional to its domain, never to the city; the cluster and
+  // candidate buffers are hoisted the same way and only kept clusters
+  // are materialized.
+  thread_local DenseScratch<uint32_t> state;
+  thread_local std::vector<PoiId> cluster;
+  thread_local std::vector<Candidate> v;
+  state.Reset(domain.size());
+  auto at = [&](PoiId pid) -> uint32_t& { return state[domain.Local(pid)]; };
   uint32_t epoch = 0;
-  std::vector<PoiId> cluster;
-  std::vector<Candidate> v;
+  size_t clusters_before = out.clusters.size();
 
-  for (PoiId seed = 0; seed < n; ++seed) {
-    if (taken[seed]) continue;
-    taken[seed] = 1;
+  for (PoiId seed : domain.pois) {
+    if (at(seed) & kTaken) continue;
+    at(seed) |= kTaken;
     cluster.assign(1, seed);
 
     v.clear();
     ++epoch;
-    queued[seed] = epoch;
+    at(seed) = (at(seed) & ~kEpochMask) | epoch;
     auto enqueue_range = [&](PoiId member) {
       for (PoiId found : eps_neighbors(member)) {
-        if (taken[found] || queued[found] == epoch) continue;
-        queued[found] = epoch;
+        uint32_t& s = at(found);
+        if ((s & kTaken) || (s & kEpochMask) == epoch) continue;
+        s = (s & ~kEpochMask) | epoch;
         v.push_back({found, member});
       }
     };
@@ -145,7 +116,8 @@ PopularityClusteringResult PopularityBasedClustering(
 
     for (size_t i = 0; i < v.size(); ++i) {  // V grows while we scan it
       Candidate cand = v[i];
-      if (taken[cand.poi]) continue;
+      uint32_t& cand_state = at(cand.poi);
+      if (cand_state & kTaken) continue;
       const Poi& pj = pois.poi(cand.poi);
 
       const Poi& ref =
@@ -156,32 +128,31 @@ PopularityClusteringResult PopularityBasedClustering(
 
       if (!PopularityCompatible(popularity.popularity(cand.poi), ref_pop,
                                 options.alpha)) {
-        queued[cand.poi] = 0;  // stays available to other discoverers
+        cand_state &= ~kEpochMask;  // stays available to other discoverers
         continue;
       }
       bool vertically_overlapping =
           Distance(ref.position, pj.position) <= options.vertical_overlap;
       if (!vertically_overlapping && pj.major() != ref.major()) {
-        queued[cand.poi] = 0;
+        cand_state &= ~kEpochMask;
         continue;
       }
-      taken[cand.poi] = 1;
+      cand_state |= kTaken;
       cluster.push_back(cand.poi);
       enqueue_range(cand.poi);
     }
 
     if (cluster.size() >= options.min_pts) {
-      for (PoiId pid : cluster) in_cluster[pid] = 1;
-      result.clusters.emplace_back(cluster.begin(), cluster.end());
+      for (PoiId pid : cluster) at(pid) |= kClustered;
+      out.clusters.emplace_back(cluster.begin(), cluster.end());
     }
     // Small clusters dissolve: per the pseudocode their POIs were already
     // removed from P, so they end up unclustered (handled below).
   }
 
-  for (PoiId pid = 0; pid < n; ++pid) {
-    if (in_cluster[pid]) continue;
-    if (!active.empty() && !active[pid]) continue;
-    result.unclustered.push_back(pid);
+  size_t unclustered_before = out.unclustered.size();
+  for (PoiId pid : domain.pois) {
+    if (!(at(pid) & kClustered)) out.unclustered.push_back(pid);
   }
   static obs::Counter& clusters_counter =
       obs::MetricsRegistry::Get().GetCounter(
@@ -191,9 +162,8 @@ PopularityClusteringResult PopularityBasedClustering(
       obs::MetricsRegistry::Get().GetCounter(
           "csd_unclustered_pois_total",
           "POIs left unclustered by popularity-based clustering");
-  clusters_counter.Increment(result.clusters.size());
-  unclustered_counter.Increment(result.unclustered.size());
-  return result;
+  clusters_counter.Increment(out.clusters.size() - clusters_before);
+  unclustered_counter.Increment(out.unclustered.size() - unclustered_before);
 }
 
 }  // namespace csd

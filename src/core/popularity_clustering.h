@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/popularity.h"
+#include "core/stage_graph.h"
 #include "poi/poi_database.h"
 
 namespace csd {
@@ -48,25 +49,28 @@ struct PopularityClusteringResult {
 /// cache in CSR layout (offsets has pois.size() + 1 entries; each POI's
 /// list is everything `pois.ForEachInRange(position, eps)` yields, in
 /// enumeration order, including the POI itself). When empty the cache is
-/// built internally. A sharded build (shard/sharded_build.h) computes the
-/// cache per tile and injects it; the serial greedy expansion then replays
-/// the exact sequence a monolithic build would.
-///
-/// `active`, when non-empty (size pois.size()), restricts the algorithm
-/// to the marked POIs: unmarked POIs are withdrawn from P up front — they
-/// never seed, join nor block a cluster — and are omitted from
-/// `unclustered`. When the active set is a union of whole ε-connected
-/// components, the restricted run's clusters and unclustered POIs are
-/// exactly the full run's output filtered to those components (greedy
-/// expansion never crosses an ε-component boundary), which is what the
-/// incremental tile rebuild (core/incremental_csd.h) relies on to
-/// recluster only the components its delta dirtied.
+/// built internally (BuildEpsCsr, core/stage_graph.h).
 PopularityClusteringResult PopularityBasedClustering(
     const PoiDatabase& pois, const PopularityModel& popularity,
     const PopularityClusteringOptions& options,
     std::span<const uint32_t> eps_offsets = {},
-    std::span<const PoiId> eps_flat = {},
-    std::span<const char> active = {});
+    std::span<const PoiId> eps_flat = {});
+
+/// Algorithm 1 over one ε-closed POI set (StageDomain): seeds run in
+/// domain order, kept clusters are appended to `out.clusters` and the
+/// domain's unclustered POIs, in domain order, to `out.unclustered`. Work
+/// and per-thread scratch are proportional to the domain. Greedy
+/// expansion never crosses an ε-component boundary, so a run over whole
+/// components of the ε∪merge graph yields exactly the city-wide run's
+/// output restricted to them — which is what the component stage runner
+/// (core/component_stages.h) relies on.
+void PopularityBasedClusteringOn(const PoiDatabase& pois,
+                                 const PopularityModel& popularity,
+                                 const PopularityClusteringOptions& options,
+                                 std::span<const uint32_t> eps_offsets,
+                                 std::span<const PoiId> eps_flat,
+                                 const StageDomain& domain,
+                                 PopularityClusteringResult& out);
 
 }  // namespace csd
 

@@ -72,20 +72,21 @@ double KlDivergence(const std::array<double, kNumMajorCategories>& pr_i,
 
 std::vector<std::vector<PoiId>> SemanticPurification(
     std::vector<std::vector<PoiId>> coarse_clusters, const PoiDatabase& pois,
-    const PurificationOptions& options) {
+    const PurificationOptions& options,
+    std::vector<uint32_t>* units_per_cluster) {
   static obs::Counter& splits_counter = obs::MetricsRegistry::Get().GetCounter(
       "csd_purification_splits_total",
       "Cluster splits performed by semantic purification");
   // Each coarse cluster purifies independently (splits only ever divide a
   // cluster's own members), so clusters are processed to completion one at
-  // a time and the output is cluster-major: input cluster i's units form
-  // one contiguous block, in the FIFO order of its own split tree. That
-  // block structure is what lets the incremental tile rebuild
-  // (core/incremental_csd.h) reuse a clean cluster's purified units
-  // verbatim and splice freshly purified clusters in between.
+  // a time and the output is cluster-major. The block lengths give the
+  // component stage runner (core/component_stages.h) each unit's
+  // (cluster seed, block) key for its canonical splice.
   std::vector<std::vector<PoiId>> units;
   std::deque<std::vector<PoiId>> work;
+  if (units_per_cluster != nullptr) units_per_cluster->clear();
   for (std::vector<PoiId>& coarse : coarse_clusters) {
+    size_t units_before = units.size();
     work.clear();
     work.push_back(std::move(coarse));
     while (!work.empty()) {
@@ -145,6 +146,10 @@ std::vector<std::vector<PoiId>> SemanticPurification(
       work.push_back(std::move(keep));
       work.push_back(std::move(split));
       splits_counter.Increment();
+    }
+    if (units_per_cluster != nullptr) {
+      units_per_cluster->push_back(
+          static_cast<uint32_t>(units.size() - units_before));
     }
   }
   static obs::Counter& units_counter = obs::MetricsRegistry::Get().GetCounter(

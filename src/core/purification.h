@@ -48,9 +48,14 @@ double KlDivergence(const std::array<double, kNumMajorCategories>& pr_i,
 /// Termination guard (documented deviation): when every member has the
 /// same KL value the median split would move nothing; such KL-homogeneous
 /// clusters are accepted as units.
+///
+/// The output is cluster-major: input cluster i's units form one
+/// contiguous block, in the FIFO order of its own split tree. When
+/// `units_per_cluster` is non-null it receives each block's length.
 std::vector<std::vector<PoiId>> SemanticPurification(
     std::vector<std::vector<PoiId>> coarse_clusters, const PoiDatabase& pois,
-    const PurificationOptions& options);
+    const PurificationOptions& options,
+    std::vector<uint32_t>* units_per_cluster = nullptr);
 
 }  // namespace csd
 

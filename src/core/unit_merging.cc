@@ -7,7 +7,7 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/parallel.h"
+#include "util/dense_scratch.h"
 
 namespace csd {
 
@@ -18,11 +18,13 @@ namespace {
 /// the canonical group ordering below depends on that.
 class UnionFind {
  public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+  /// Makes [0, n) singletons, reusing the parent array's capacity.
+  void Reset(size_t n) {
+    parent_.resize(n);
+    std::iota(parent_.begin(), parent_.end(), 0u);
   }
 
-  size_t Find(size_t x) {
+  uint32_t Find(uint32_t x) {
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
       x = parent_[x];
@@ -30,7 +32,7 @@ class UnionFind {
     return x;
   }
 
-  bool Union(size_t a, size_t b) {
+  bool Union(uint32_t a, uint32_t b) {
     a = Find(a);
     b = Find(b);
     if (a == b) return false;
@@ -39,125 +41,62 @@ class UnionFind {
   }
 
  private:
-  std::vector<size_t> parent_;
+  std::vector<uint32_t> parent_;
 };
 
 }  // namespace
 
-MergeNodeGroups SemanticUnitMergingGroups(
-    const std::vector<std::vector<PoiId>>& purified_units,
-    const std::vector<PoiId>& unclustered, const PoiDatabase& pois,
-    const PopularityModel& popularity, const MergingOptions& options,
-    std::span<const uint32_t> nb_offsets, std::span<const PoiId> nb_flat) {
-  // Node universe: purified units first, then leftover singletons. Stored
-  // as CSR (flat member array + offsets) — the per-node member lists are
-  // read-only from here on.
-  MergeNodeGroups result;
-  result.num_clustered_nodes = purified_units.size();
-  size_t num_nodes = result.num_clustered_nodes;
-  size_t total_members = 0;
-  for (const std::vector<PoiId>& unit : purified_units) {
-    total_members += unit.size();
-  }
-  if (options.absorb_unclustered) {
-    num_nodes += unclustered.size();
-    total_members += unclustered.size();
-  }
-  result.num_nodes = num_nodes;
-  if (num_nodes == 0) return result;
-  std::vector<PoiId> node_pois;
-  node_pois.reserve(total_members);
-  std::vector<uint32_t> node_offsets;
-  node_offsets.reserve(num_nodes + 1);
-  node_offsets.push_back(0);
-  for (const std::vector<PoiId>& unit : purified_units) {
-    node_pois.insert(node_pois.end(), unit.begin(), unit.end());
-    node_offsets.push_back(static_cast<uint32_t>(node_pois.size()));
-  }
-  if (options.absorb_unclustered) {
-    for (PoiId pid : unclustered) {
-      node_pois.push_back(pid);
-      node_offsets.push_back(static_cast<uint32_t>(node_pois.size()));
-    }
-  }
+void SemanticUnitMergingOn(const MergeNodes& nodes, const StageDomain& domain,
+                           const PoiDatabase& pois,
+                           const PopularityModel& popularity,
+                           const MergingOptions& options,
+                           std::span<const uint32_t> nb_offsets,
+                           std::span<const PoiId> nb_flat, MergedUnits& out) {
+  CSD_CHECK_MSG(nb_offsets.size() == pois.size() + 1,
+                "proximity cache has wrong offset count");
+  out.root.clear();
+  out.offsets.assign(1, 0);
+  out.pois.clear();
+  const size_t num_nodes = nodes.size();
+  if (num_nodes == 0) return;
+  CSD_CHECK_MSG(num_nodes <= UINT32_MAX, "too many merge nodes");
   auto node_members = [&](size_t node) {
-    return std::span<const PoiId>(node_pois.data() + node_offsets[node],
-                                  node_pois.data() + node_offsets[node + 1]);
+    return nodes.pois.subspan(nodes.offsets[node],
+                              nodes.offsets[node + 1] - nodes.offsets[node]);
   };
 
-  std::vector<size_t> poi_to_node(pois.size(), SIZE_MAX);
+  // Per-thread scratch, reused across calls: sized by this run's nodes
+  // and domain, never by the city.
+  thread_local DenseScratch<uint32_t> node_of;  // domain-local POI → node
+  thread_local std::vector<uint64_t> edges;
+  thread_local UnionFind uf;
+  thread_local std::vector<SemanticUnit> acc;
+  thread_local std::vector<uint32_t> seen_round;
+  thread_local std::vector<uint32_t> group_of;
+  node_of.Reset(domain.size());
   for (size_t node = 0; node < num_nodes; ++node) {
-    for (PoiId pid : node_members(node)) poi_to_node[pid] = node;
+    for (PoiId pid : node_members(node)) {
+      node_of[domain.Local(pid)] = static_cast<uint32_t>(node);
+    }
   }
 
-  // Node-level adjacency from POI proximity, computed once. The per-POI
-  // range queries are the expensive part and independent, so with workers
-  // they run in parallel — a count pass sizes one flat CSR edge array, a
-  // fill pass writes each POI's disjoint range. The edge list is then
+  // Node-level adjacency from the POI proximity lists. The edge list is
   // sorted and deduplicated, so the merge passes below walk the edges in
   // ascending (lo, hi) node order — a pure function of the node universe,
-  // identical whatever thread count, platform or hash implementation
-  // produced the raw sequence, and stable under restriction to a node
-  // subset (the incremental rebuild's order-isomorphism contract).
-  auto emit_edge = [&](size_t node_a, PoiId other, auto&& fn) {
-    size_t node_b = poi_to_node[other];
-    if (node_b == SIZE_MAX || node_b == node_a) return;
-    uint64_t lo = std::min(node_a, node_b);
-    uint64_t hi = std::max(node_a, node_b);
-    fn((lo << 32) | hi);
-  };
-  auto for_each_edge = [&](size_t pid_idx, auto&& fn) {
-    PoiId pid = static_cast<PoiId>(pid_idx);
-    size_t node_a = poi_to_node[pid];
-    if (node_a == SIZE_MAX) return;
-    if (!nb_offsets.empty()) {
-      for (uint32_t i = nb_offsets[pid_idx]; i < nb_offsets[pid_idx + 1];
-           ++i) {
-        emit_edge(node_a, nb_flat[i], fn);
+  // stable under restriction to a node subset (the runner's
+  // order-isomorphism contract).
+  edges.clear();
+  for (size_t node = 0; node < num_nodes; ++node) {
+    for (PoiId pid : node_members(node)) {
+      for (uint32_t i = nb_offsets[pid]; i < nb_offsets[pid + 1]; ++i) {
+        uint32_t local = domain.Local(nb_flat[i]);
+        if (!node_of.Contains(local)) continue;
+        uint64_t other = node_of.Get(local);
+        if (other == node) continue;
+        uint64_t lo = std::min<uint64_t>(node, other);
+        uint64_t hi = std::max<uint64_t>(node, other);
+        edges.push_back((lo << 32) | hi);
       }
-      return;
-    }
-    pois.ForEachInRange(pois.poi(pid).position, options.neighbor_distance,
-                        [&](PoiId other) {
-                          if (other <= pid) return;
-                          emit_edge(node_a, other, fn);
-                        });
-  };
-  std::vector<uint64_t> edges;
-  if (!nb_offsets.empty()) {
-    CSD_CHECK_MSG(nb_offsets.size() == pois.size() + 1,
-                  "injected proximity cache has wrong offset count");
-    // Replaying cached lists is pure memory traffic; one appending pass.
-    for (size_t pid_idx = 0; pid_idx < pois.size(); ++pid_idx) {
-      for_each_edge(pid_idx, [&](uint64_t key) { edges.push_back(key); });
-    }
-  } else if (DefaultParallelism() > 1) {
-    std::vector<uint32_t> edge_offsets(pois.size() + 1, 0);
-    ParallelFor(
-        pois.size(),
-        [&](size_t pid_idx) {
-          size_t count = 0;
-          for_each_edge(pid_idx, [&](uint64_t) { ++count; });
-          edge_offsets[pid_idx + 1] = static_cast<uint32_t>(count);
-        },
-        {.grain = 64});
-    for (size_t i = 0; i < pois.size(); ++i) {
-      edge_offsets[i + 1] += edge_offsets[i];
-    }
-    edges.resize(edge_offsets[pois.size()]);
-    ParallelFor(
-        pois.size(),
-        [&](size_t pid_idx) {
-          size_t w = edge_offsets[pid_idx];
-          for_each_edge(pid_idx, [&](uint64_t key) { edges[w++] = key; });
-        },
-        {.grain = 64});
-  } else {
-    // Serial pool: one appending pass over the same per-POI edge order,
-    // skipping the pure counting pass (it would run every range query
-    // twice for nothing).
-    for (size_t pid_idx = 0; pid_idx < pois.size(); ++pid_idx) {
-      for_each_edge(pid_idx, [&](uint64_t key) { edges.push_back(key); });
     }
   }
   std::sort(edges.begin(), edges.end());
@@ -169,14 +108,14 @@ MergeNodeGroups SemanticUnitMergingGroups(
   // exact summation order MakeSemanticUnit uses on the concatenated
   // member list, so the similarity values are bit-identical to building
   // a fresh SemanticUnit per group.
-  UnionFind uf(num_nodes);
-  std::vector<SemanticUnit> acc(num_nodes);
-  std::vector<uint32_t> seen_round(num_nodes, 0);
+  uf.Reset(num_nodes);
+  if (acc.size() < num_nodes) acc.resize(num_nodes);
+  seen_round.assign(num_nodes, 0);
   uint32_t round = 0;
   while (true) {
     ++round;
     for (size_t node = 0; node < num_nodes; ++node) {
-      size_t root = uf.Find(node);
+      uint32_t root = uf.Find(static_cast<uint32_t>(node));
       SemanticUnit& unit = acc[root];
       if (seen_round[root] != round) {
         seen_round[root] = round;
@@ -197,8 +136,8 @@ MergeNodeGroups SemanticUnitMergingGroups(
     // order.
     size_t merges = 0;
     for (uint64_t key : edges) {
-      size_t a = uf.Find(static_cast<size_t>(key >> 32));
-      size_t b = uf.Find(static_cast<size_t>(key & 0xffffffffu));
+      uint32_t a = uf.Find(static_cast<uint32_t>(key >> 32));
+      uint32_t b = uf.Find(static_cast<uint32_t>(key & 0xffffffffu));
       if (a == b) continue;
       if (acc[a].CosineSimilarity(acc[b]) >= options.cosine_threshold) {
         if (uf.Union(a, b)) ++merges;
@@ -207,19 +146,51 @@ MergeNodeGroups SemanticUnitMergingGroups(
     if (merges == 0) break;
   }
 
-  // Materialize the classes. Scanning nodes in ascending order means a
-  // class is first seen at its root (the root IS the smallest member), so
-  // groups come out ordered by root with members ascending — no hashing.
-  std::vector<uint32_t> group_of(num_nodes, UINT32_MAX);
+  // Materialize the kept classes. A class is first seen at its root (the
+  // root IS the smallest member), so numbering classes in a node scan
+  // orders them by root; a counting pass then lays out each class's
+  // members in node order — no hashing.
+  struct Class {
+    uint32_t root;
+    uint32_t num_pois = 0;
+    uint32_t cursor = UINT32_MAX;  // write position; UINT32_MAX = dropped
+  };
+  thread_local std::vector<Class> classes;
+  classes.clear();
+  group_of.assign(num_nodes, UINT32_MAX);  // indexed by root
   for (size_t node = 0; node < num_nodes; ++node) {
-    size_t root = uf.Find(node);
+    uint32_t root = uf.Find(static_cast<uint32_t>(node));
     if (group_of[root] == UINT32_MAX) {
-      group_of[root] = static_cast<uint32_t>(result.groups.size());
-      result.groups.emplace_back();
+      group_of[root] = static_cast<uint32_t>(classes.size());
+      classes.push_back({root});
     }
-    result.groups[group_of[root]].push_back(static_cast<uint32_t>(node));
+    classes[group_of[root]].num_pois +=
+        static_cast<uint32_t>(node_members(node).size());
   }
-  return result;
+  // Never-merged leftover singletons drop unless configured otherwise;
+  // a class holds a clustered POI iff its root is a purified unit.
+  size_t total = 0;
+  for (Class& c : classes) {
+    bool keep = c.root < nodes.num_clustered || c.num_pois >= 2 ||
+                options.keep_unmerged_singletons;
+    if (!keep) continue;
+    c.cursor = CheckedOffset32(total);
+    total += c.num_pois;
+    out.root.push_back(c.root);
+    out.offsets.push_back(CheckedOffset32(total));
+  }
+  out.pois.resize(total);
+  for (size_t node = 0; node < num_nodes; ++node) {
+    Class& c = classes[group_of[uf.Find(static_cast<uint32_t>(node))]];
+    if (c.cursor == UINT32_MAX) continue;
+    std::span<const PoiId> members = node_members(node);
+    std::copy(members.begin(), members.end(), out.pois.begin() + c.cursor);
+    c.cursor += static_cast<uint32_t>(members.size());
+  }
+
+  static obs::Counter& merged_counter = obs::MetricsRegistry::Get().GetCounter(
+      "csd_merged_units_total", "Semantic units emitted by unit merging");
+  merged_counter.Increment(out.size());
 }
 
 std::vector<std::vector<PoiId>> SemanticUnitMerging(
@@ -227,41 +198,44 @@ std::vector<std::vector<PoiId>> SemanticUnitMerging(
     const std::vector<PoiId>& unclustered, const PoiDatabase& pois,
     const PopularityModel& popularity, const MergingOptions& options,
     std::span<const uint32_t> nb_offsets, std::span<const PoiId> nb_flat) {
-  MergeNodeGroups node_groups =
-      SemanticUnitMergingGroups(purified_units, unclustered, pois, popularity,
-                                options, nb_offsets, nb_flat);
-  auto members_of = [&](uint32_t node) -> std::span<const PoiId> {
-    if (node < node_groups.num_clustered_nodes) {
-      return purified_units[node];
-    }
-    return std::span<const PoiId>(
-        &unclustered[node - node_groups.num_clustered_nodes], 1);
-  };
-
-  // Drop never-merged leftover singletons unless configured otherwise. A
-  // group's smallest node comes first, so "contains a clustered POI" is a
-  // front() test.
-  std::vector<std::vector<PoiId>> result;
-  result.reserve(node_groups.groups.size());
-  for (const std::vector<uint32_t>& group : node_groups.groups) {
-    bool has_clustered =
-        !group.empty() && group.front() < node_groups.num_clustered_nodes;
-    size_t poi_count = 0;
-    for (uint32_t node : group) poi_count += members_of(node).size();
-    bool keep = has_clustered || poi_count >= 2 ||
-                options.keep_unmerged_singletons;
-    if (!keep) continue;
-    std::vector<PoiId> members;
-    members.reserve(poi_count);
-    for (uint32_t node : group) {
-      std::span<const PoiId> span = members_of(node);
-      members.insert(members.end(), span.begin(), span.end());
-    }
-    result.push_back(std::move(members));
+  std::vector<uint32_t> cached_offsets;
+  std::vector<PoiId> cached_flat;
+  if (nb_offsets.empty()) {
+    BuildMergeCsr(pois, options.neighbor_distance, cached_offsets,
+                  cached_flat);
+    nb_offsets = cached_offsets;
+    nb_flat = cached_flat;
   }
-  static obs::Counter& merged_counter = obs::MetricsRegistry::Get().GetCounter(
-      "csd_merged_units_total", "Semantic units emitted by unit merging");
-  merged_counter.Increment(result.size());
+  // Node universe: purified units first, then leftover singletons.
+  std::vector<uint32_t> node_offsets(1, 0);
+  std::vector<PoiId> node_pois;
+  for (const std::vector<PoiId>& unit : purified_units) {
+    node_pois.insert(node_pois.end(), unit.begin(), unit.end());
+    node_offsets.push_back(CheckedOffset32(node_pois.size()));
+  }
+  if (options.absorb_unclustered) {
+    for (PoiId pid : unclustered) {
+      node_pois.push_back(pid);
+      node_offsets.push_back(CheckedOffset32(node_pois.size()));
+    }
+  }
+  std::vector<PoiId> all(pois.size());
+  for (size_t pid = 0; pid < all.size(); ++pid) {
+    all[pid] = static_cast<PoiId>(pid);
+  }
+  MergedUnits merged;
+  SemanticUnitMergingOn(
+      MergeNodes{.offsets = node_offsets,
+                 .pois = node_pois,
+                 .num_clustered = purified_units.size()},
+      StageDomain{.pois = all}, pois, popularity, options, nb_offsets, nb_flat,
+      merged);
+  std::vector<std::vector<PoiId>> result;
+  result.reserve(merged.size());
+  for (size_t g = 0; g < merged.size(); ++g) {
+    std::span<const PoiId> unit = merged.unit(g);
+    result.emplace_back(unit.begin(), unit.end());
+  }
   return result;
 }
 

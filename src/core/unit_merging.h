@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/semantic_unit.h"
+#include "core/stage_graph.h"
 
 namespace csd {
 
@@ -29,34 +30,48 @@ struct MergingOptions {
   bool keep_unmerged_singletons = false;
 };
 
-/// Node-level output of the merging fixpoint. The node universe is the
-/// purified units in input order, then (when absorb_unclustered) the
-/// leftover singletons in input order. `groups` holds EVERY union-find
-/// class — including the never-merged singletons the POI-level wrapper
-/// drops — with member node indices ascending and the groups ordered by
-/// their root (smallest member). Both orders are canonical: they depend
-/// only on the input order of the nodes, never on hash-table layout, so
-/// a run over a node subset relates to the full run by the order
-/// isomorphism the incremental in-tile rebuild (core/incremental_csd.h)
-/// leans on.
-struct MergeNodeGroups {
-  size_t num_nodes = 0;
-  /// Nodes [0, num_clustered_nodes) are purified units; the rest are
-  /// absorbed singletons.
-  size_t num_clustered_nodes = 0;
-  std::vector<std::vector<uint32_t>> groups;
+/// The node universe of one merging run, in CSR layout: node i's POIs
+/// are pois[offsets[i], offsets[i + 1]). Nodes [0, num_clustered) are
+/// purified units, the rest absorbed singletons.
+struct MergeNodes {
+  std::span<const uint32_t> offsets;
+  std::span<const PoiId> pois;
+  size_t num_clustered = 0;
+
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
 };
 
-/// The merging fixpoint at node granularity (see MergeNodeGroups).
-/// SemanticUnitMerging below is the POI-level wrapper everyone else uses;
-/// the incremental tile engine consumes the node groups directly so it
-/// can stitch cached clean-component groups with freshly merged ones.
-MergeNodeGroups SemanticUnitMergingGroups(
-    const std::vector<std::vector<PoiId>>& purified_units,
-    const std::vector<PoiId>& unclustered, const PoiDatabase& pois,
-    const PopularityModel& popularity, const MergingOptions& options,
-    std::span<const uint32_t> nb_offsets = {},
-    std::span<const PoiId> nb_flat = {});
+/// The kept merge groups of one run, in CSR layout: group g's POIs are
+/// pois[offsets[g], offsets[g + 1]), concatenated in node order, and
+/// root[g] is its smallest node. Groups are ordered by root.
+struct MergedUnits {
+  std::vector<uint32_t> root;
+  std::vector<uint32_t> offsets;
+  std::vector<PoiId> pois;
+
+  size_t size() const { return root.size(); }
+  std::span<const PoiId> unit(size_t g) const {
+    return std::span<const PoiId>(pois).subspan(offsets[g],
+                                                offsets[g + 1] - offsets[g]);
+  }
+};
+
+/// The merging fixpoint over `nodes`, whose POIs all lie in `domain`
+/// (core/stage_graph.h); `nb_offsets`/`nb_flat` is the merge proximity
+/// CSR over the whole database. Replaces `out` with the kept groups
+/// (never-merged leftover singletons are dropped unless
+/// keep_unmerged_singletons). Both orders in the output — groups by their
+/// smallest node, members ascending — depend only on the node order, so
+/// a run over a node subset relates to the full run by the order
+/// isomorphism the component stage runner (core/component_stages.h)
+/// splices on. Work and per-thread scratch are proportional to the
+/// nodes' POIs.
+void SemanticUnitMergingOn(const MergeNodes& nodes, const StageDomain& domain,
+                           const PoiDatabase& pois,
+                           const PopularityModel& popularity,
+                           const MergingOptions& options,
+                           std::span<const uint32_t> nb_offsets,
+                           std::span<const PoiId> nb_flat, MergedUnits& out);
 
 /// Semantic Unit Merging: combines fragments of semantically similar,
 /// spatially adjacent units into bigger units, and absorbs leftover POIs.
@@ -64,18 +79,18 @@ MergeNodeGroups SemanticUnitMergingGroups(
 /// each pass merges every adjacent pair whose distribution cosine clears
 /// the threshold, then distributions are recomputed, until a fixpoint.
 ///
-/// Returns the final units as POI-id sets, ready to become the CSD. Units
-/// are ordered by their smallest node (see MergeNodeGroups) and each
-/// unit's POIs are concatenated in node order — a pure function of the
-/// input, identical across platforms, thread counts and standard-library
-/// hash implementations.
+/// Returns the final units as POI-id sets, ready to become the CSD. The
+/// node universe is the purified units in input order, then (when
+/// absorb_unclustered) the leftover singletons in input order. Units are
+/// ordered by their smallest node and each unit's POIs are concatenated
+/// in node order — a pure function of the input, identical across
+/// platforms, thread counts and standard-library hash implementations.
 ///
 /// `nb_offsets`/`nb_flat` optionally inject a precomputed proximity cache
 /// in CSR layout (offsets has pois.size() + 1 entries; each POI's list is
 /// every `other` that `pois.ForEachInRange(position, neighbor_distance)`
-/// yields with `other > pid`, in enumeration order). When empty the range
-/// queries run internally. Sharded builds compute the cache per tile and
-/// inject it (shard/sharded_build.h).
+/// yields with `other > pid`, in enumeration order). When empty the cache
+/// is built internally (BuildMergeCsr, core/stage_graph.h).
 std::vector<std::vector<PoiId>> SemanticUnitMerging(
     const std::vector<std::vector<PoiId>>& purified_units,
     const std::vector<PoiId>& unclustered, const PoiDatabase& pois,

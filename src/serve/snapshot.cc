@@ -8,6 +8,7 @@
 #include "shard/sharded_build.h"
 #include "traj/journey.h"
 #include "util/check.h"
+#include "util/parallel.h"
 
 namespace csd::serve {
 
@@ -125,16 +126,22 @@ CsdSnapshot::CsdSnapshot(std::shared_ptr<const ServeDataset> data,
   // candidate within R₃σ of a tile point is inside the halo.
   CSD_CHECK_MSG(plan_->halo() >= radius,
                 "shard halo narrower than the annotation radius");
-  shard_annotators_.reserve(plan_->num_shards());
-  for (size_t s = 0; s < plan_->num_shards(); ++s) {
-    BoundingBox halo = plan_->HaloBounds(s);
-    std::vector<PoiId> subset;
-    for (PoiId pid = 0; pid < data_->pois.size(); ++pid) {
-      if (halo.Contains(data_->pois.poi(pid).position)) subset.push_back(pid);
-    }
-    shard_annotators_.push_back(std::make_unique<BatchCsdAnnotator>(
-        &miner_->diagram(), radius, subset));
-  }
+  // One annotator per shard, each built on its own lane into its own slot.
+  shard_annotators_.resize(plan_->num_shards());
+  ParallelFor(
+      plan_->num_shards(),
+      [&](size_t s) {
+        BoundingBox halo = plan_->HaloBounds(s);
+        std::vector<PoiId> subset;
+        for (PoiId pid = 0; pid < data_->pois.size(); ++pid) {
+          if (halo.Contains(data_->pois.poi(pid).position)) {
+            subset.push_back(pid);
+          }
+        }
+        shard_annotators_[s] = std::make_unique<BatchCsdAnnotator>(
+            &miner_->diagram(), radius, subset);
+      },
+      {.grain = 1});
   FinishInit(opts);
 }
 

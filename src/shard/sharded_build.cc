@@ -134,13 +134,13 @@ CsdStageCaches BuildStageCaches(const PoiDatabase& pois,
           tile_grid.ForEachInRadius(p, eps, [&](size_t idx) {
             tc.eps_flat.push_back(halo_ids[idx]);
           });
-          tc.eps_off.push_back(static_cast<uint32_t>(tc.eps_flat.size()));
+          tc.eps_off.push_back(CheckedOffset32(tc.eps_flat.size()));
 
           tile_grid.ForEachInRadius(p, neighbor, [&](size_t idx) {
             PoiId other = halo_ids[idx];
             if (other > pid) tc.merge_flat.push_back(other);
           });
-          tc.merge_off.push_back(static_cast<uint32_t>(tc.merge_flat.size()));
+          tc.merge_off.push_back(CheckedOffset32(tc.merge_flat.size()));
         }
       },
       {.grain = 1});
@@ -162,12 +162,16 @@ CsdStageCaches BuildStageCaches(const PoiDatabase& pois,
       caches.merge_offsets[pid + 1] = tc.merge_off[i + 1] - tc.merge_off[i];
     }
   }
+  size_t eps_total = 0;
+  size_t merge_total = 0;
   for (size_t pid = 0; pid < n; ++pid) {
-    caches.eps_offsets[pid + 1] += caches.eps_offsets[pid];
-    caches.merge_offsets[pid + 1] += caches.merge_offsets[pid];
+    eps_total += caches.eps_offsets[pid + 1];
+    merge_total += caches.merge_offsets[pid + 1];
+    caches.eps_offsets[pid + 1] = CheckedOffset32(eps_total);
+    caches.merge_offsets[pid + 1] = CheckedOffset32(merge_total);
   }
-  caches.eps_flat.resize(caches.eps_offsets[n]);
-  caches.merge_flat.resize(caches.merge_offsets[n]);
+  caches.eps_flat.resize(eps_total);
+  caches.merge_flat.resize(merge_total);
   ParallelFor(
       num_shards,
       [&](size_t s) {

@@ -38,9 +38,10 @@ CsdStageCaches BuildStageCaches(const PoiDatabase& pois,
                                 const ShardPlan& plan,
                                 const CsdBuildOptions& options);
 
-/// Full sharded build: per-tile stage caches, then the unchanged serial
-/// stage replay (CsdBuilder::Build with the caches injected). The plan's
-/// halo must be at least RequiredHalo(options).
+/// Full sharded build: per-tile stage caches, then CsdBuilder::Build with
+/// the caches injected, which runs the decision stages component by
+/// component on every lane (core/component_stages.h). The plan's halo
+/// must be at least RequiredHalo(options).
 CitySemanticDiagram ShardedCsdBuild(const PoiDatabase& pois,
                                     const std::vector<StayPoint>& stays,
                                     const ShardPlan& plan,

@@ -1,6 +1,7 @@
 #ifndef CSD_UTIL_CHECK_H_
 #define CSD_UTIL_CHECK_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -46,5 +47,18 @@ namespace csd::internal {
   do {                        \
   } while (false)
 #endif
+
+namespace csd {
+
+/// Narrows a CSR offset (a running entry count) to the uint32_t the CSR
+/// arrays store, aborting instead of wrapping: a wrapped offset would
+/// silently alias another POI's neighbor list.
+inline uint32_t CheckedOffset32(size_t value) {
+  CSD_CHECK_MSG(value <= UINT32_MAX,
+                "CSR offset " << value << " overflows uint32_t");
+  return static_cast<uint32_t>(value);
+}
+
+}  // namespace csd
 
 #endif  // CSD_UTIL_CHECK_H_

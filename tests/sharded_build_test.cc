@@ -1,5 +1,5 @@
-// Byte-identity of the sharded CSD build: per-tile stage caches replayed
-// through the unchanged serial stages must reproduce the monolithic
+// Byte-identity of the sharded CSD build: per-tile stage caches run
+// through the component stage runner must reproduce the monolithic
 // diagram bit for bit — across shard counts (1, a prime strip, 2×2) and
 // across worker-thread counts. The serialized-snapshot comparison is the
 // strongest form of the claim: not "equivalent", the same bytes. The

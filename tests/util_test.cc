@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -8,6 +9,16 @@ namespace csd {
 namespace {
 
 // --- Status / Result ------------------------------------------------------
+
+TEST(CheckedOffsetTest, NarrowsEveryRepresentableOffset) {
+  EXPECT_EQ(CheckedOffset32(0), 0u);
+  EXPECT_EQ(CheckedOffset32(53'700'000), 53'700'000u);
+  EXPECT_EQ(CheckedOffset32(UINT32_MAX), UINT32_MAX);
+}
+
+TEST(CheckedOffsetTest, AbortsInsteadOfWrapping) {
+  EXPECT_DEATH(CheckedOffset32(size_t{UINT32_MAX} + 1), "overflows uint32_t");
+}
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;
