@@ -16,6 +16,13 @@ obs::Gauge& QueueDepthGauge() {
   return gauge;
 }
 
+obs::Counter& WakeupsCounter() {
+  static obs::Counter& counter = obs::MetricsRegistry::Get().GetCounter(
+      "csd_serve_batcher_wakeups_total",
+      "Batcher dispatcher returns from a condition wait");
+  return counter;
+}
+
 }  // namespace
 
 RequestBatcher::RequestBatcher(BatchPolicy policy, ExecuteFn execute,
@@ -29,15 +36,33 @@ RequestBatcher::RequestBatcher(BatchPolicy policy, ExecuteFn execute,
 RequestBatcher::~RequestBatcher() { Drain(); }
 
 bool RequestBatcher::Enqueue(AnnotateRequest request) {
+  bool queued = false;
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!draining_) {
-      if (request.deadline != kNoDeadline) deadlined_in_queue_++;
+      // Wake the dispatcher only when this request changes what it does:
+      // an empty queue gains its first request (a window opens), the
+      // queue reaches max_batch (the window closes), or the deadline
+      // falls before the open window's close. Otherwise the dispatcher
+      // is executing, paused, or waiting on a close this request leaves
+      // unchanged, and a wake would only put it back to sleep.
+      const auto deadline = request.deadline;
+      wake = queue_.empty() || queue_.size() + 1 == policy_.max_batch ||
+             (window_open_ &&
+              deadline < std::min(window_deadline_, earliest_deadline_));
+      if (deadline != kNoDeadline) {
+        deadlined_in_queue_++;
+        earliest_deadline_ = std::min(earliest_deadline_, deadline);
+      }
       queue_.push_back(std::move(request));
       QueueDepthGauge().Set(static_cast<double>(queue_.size()));
-      cv_.notify_all();
-      return true;
+      queued = true;
     }
+  }
+  if (queued) {
+    if (wake) cv_.notify_one();
+    return true;
   }
   // Draining — the dispatcher may already have passed its last look at
   // the queue (or exited), so queueing here could strand the request and
@@ -76,22 +101,16 @@ size_t RequestBatcher::Depth() const {
   return queue_.size();
 }
 
-std::chrono::steady_clock::time_point
-RequestBatcher::EarliestQueuedDeadline() const {
-  auto earliest = kNoDeadline;
-  if (deadlined_in_queue_ == 0) return earliest;
-  for (const AnnotateRequest& request : queue_) {
-    earliest = std::min(earliest, request.deadline);
-  }
-  return earliest;
-}
-
 void RequestBatcher::DispatcherMain() {
+  auto ready = [this] {
+    return (!queue_.empty() && !paused_) || (draining_ && queue_.empty());
+  };
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    cv_.wait(lock, [this] {
-      return (!queue_.empty() && !paused_) || (draining_ && queue_.empty());
-    });
+    while (!ready()) {
+      cv_.wait(lock);
+      WakeupsCounter().Increment();
+    }
     if (queue_.empty()) return;  // draining and nothing left
 
     // Batch window: the first request the dispatcher sees opens it; close
@@ -106,8 +125,10 @@ void RequestBatcher::DispatcherMain() {
       window_deadline_ = std::chrono::steady_clock::now() + policy_.max_delay;
     }
     while (queue_.size() < policy_.max_batch && !draining_ && !paused_) {
-      auto close = std::min(window_deadline_, EarliestQueuedDeadline());
-      if (cv_.wait_until(lock, close) == std::cv_status::timeout) break;
+      auto close = std::min(window_deadline_, earliest_deadline_);
+      std::cv_status status = cv_.wait_until(lock, close);
+      WakeupsCounter().Increment();
+      if (status == std::cv_status::timeout) break;
     }
     // Re-paused mid-window: hold the queue, but keep the open window —
     // when dispatch resumes, already-queued requests finish waiting out
@@ -122,6 +143,12 @@ void RequestBatcher::DispatcherMain() {
       if (queue_.front().deadline != kNoDeadline) deadlined_in_queue_--;
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
+    }
+    earliest_deadline_ = kNoDeadline;
+    if (deadlined_in_queue_ > 0) {
+      for (const AnnotateRequest& request : queue_) {
+        earliest_deadline_ = std::min(earliest_deadline_, request.deadline);
+      }
     }
     QueueDepthGauge().Set(static_cast<double>(queue_.size()));
 

@@ -32,17 +32,25 @@ struct BatchPolicy {
 /// the AdmissionController in front of Enqueue is what bounds it — so
 /// Enqueue never blocks.
 ///
+/// The dispatcher is woken only when a request can change what it does:
+/// the queue going from empty to non-empty (opens a window), the queue
+/// reaching `max_batch` (closes it), or a request whose deadline falls
+/// before the open window's close (pulls the close earlier). Every other
+/// Enqueue just appends — a 25-request batch costs one wake, not 25.
+/// Notifies happen after the mutex is released, so a woken dispatcher
+/// never blocks straight away on the lock the enqueuer still holds.
+///
 /// Drain() delivers every queued request before the dispatcher exits:
 /// shutdown completes admitted work, it never drops it. A request that
-/// races Enqueue against Drain and loses is *rejected*, not stranded: its
-/// promise resolves immediately with kUnavailable and its admission slot
-/// frees, so the caller's future never hangs.
+/// races Enqueue against Drain and loses is *rejected*, not stranded: it
+/// completes immediately with kUnavailable and its admission slot frees,
+/// so the caller never hangs.
 class RequestBatcher {
  public:
   using ExecuteFn = std::function<void(std::vector<AnnotateRequest>)>;
 
   /// `execute` runs on the dispatcher thread; it owns the batch and must
-  /// fulfill every request's promise. `paused` starts the dispatcher
+  /// complete every request (CompleteRequest). `paused` starts the dispatcher
   /// suspended (test hook for deterministic overload).
   RequestBatcher(BatchPolicy policy, ExecuteFn execute, bool paused = false);
 
@@ -53,9 +61,9 @@ class RequestBatcher {
   RequestBatcher& operator=(const RequestBatcher&) = delete;
 
   /// Queues `request` for the next batch. Returns false when the batcher
-  /// is draining (or already drained): the request was NOT queued — its
-  /// promise has been fulfilled with kUnavailable and its admission
-  /// ticket released, so the caller's future resolves either way.
+  /// is draining (or already drained): the request was NOT queued — it
+  /// has been completed with kUnavailable and its admission ticket
+  /// released, so the caller hears back either way.
   bool Enqueue(AnnotateRequest request);
 
   /// Suspends/resumes batch dispatch. While paused, requests queue up
@@ -74,10 +82,6 @@ class RequestBatcher {
  private:
   void DispatcherMain();
 
-  /// Earliest explicit deadline among queued requests (kNoDeadline when
-  /// none). Callers hold mutex_.
-  std::chrono::steady_clock::time_point EarliestQueuedDeadline() const;
-
   BatchPolicy policy_;
   ExecuteFn execute_;
 
@@ -90,8 +94,11 @@ class RequestBatcher {
   /// mutex_; only meaningful while window_open_.
   bool window_open_ = false;
   std::chrono::steady_clock::time_point window_deadline_{};
-  /// Queued requests carrying an explicit deadline; lets the dispatcher
-  /// skip the deadline scan entirely on the (common) deadline-free path.
+  /// Earliest explicit deadline among queued requests (kNoDeadline when
+  /// none): lowered on push, recomputed once per taken batch.
+  std::chrono::steady_clock::time_point earliest_deadline_ = kNoDeadline;
+  /// Queued requests carrying an explicit deadline; lets the per-batch
+  /// recompute skip its scan on the (common) deadline-free path.
   size_t deadlined_in_queue_ = 0;
 
   std::thread dispatcher_;

@@ -763,12 +763,11 @@ void NetServer::TrackCompletion() {
 }
 
 void NetServer::CompletionDone() {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mutex_);
-    --outstanding_completions_;
-    if (outstanding_completions_ > 0) return;
-  }
-  completions_cv_.notify_all();
+  // Notify under the lock: once the count reads 0, Shutdown may return
+  // and the destructor free completions_cv_, so a notify issued after
+  // unlocking could land on a destroyed condition variable.
+  std::lock_guard<std::mutex> lock(lifecycle_mutex_);
+  if (--outstanding_completions_ == 0) completions_cv_.notify_all();
 }
 
 }  // namespace csd::serve

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <span>
 #include <utility>
@@ -43,33 +42,28 @@ struct AnnotateResult {
 /// One queued annotation request. `enqueue_time` feeds the latency
 /// histogram; `deadline` is enforced by the batcher window and checked
 /// again at execution; the ticket releases the admission slot wherever
-/// the request's life ends. Completion goes through exactly one of two
-/// channels: `on_complete` when set (event-driven callers — the network
-/// server — that must not block a thread per request), else the promise
-/// (future-returning API). Either way the request *always* completes
-/// with an explicit verdict, fulfilled by the batch that executes it or
-/// by whoever rejects it.
+/// the request's life ends. Completion has one channel, `on_complete`:
+/// event-driven callers (the network server) pass a non-blocking
+/// callback, and the future-returning API wraps its own promise in one.
+/// The request *always* completes with an explicit verdict, delivered by
+/// the batch that executes it or by whoever rejects it.
 struct AnnotateRequest {
   std::vector<StayPoint> stays;
   std::chrono::steady_clock::time_point enqueue_time;
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   AdmissionTicket ticket;
-  std::promise<AnnotateResult> promise;
-  /// Runs on whatever thread completes the request (batch executor,
-  /// batcher drain, submit path); must not block.
+  /// Runs exactly once, on whatever thread completes the request (batch
+  /// executor, batcher drain, submit path); must be set and must not
+  /// block.
   std::function<void(AnnotateResult)> on_complete;
 };
 
 /// The single completion path every terminal site uses: frees the
 /// admission slot *first* (a caller woken by the result must see the
-/// budget already returned), then delivers through the request's channel.
+/// budget already returned), then delivers through `on_complete`.
 inline void CompleteRequest(AnnotateRequest& request, AnnotateResult result) {
   request.ticket.Release();
-  if (request.on_complete) {
-    request.on_complete(std::move(result));
-    return;
-  }
-  request.promise.set_value(std::move(result));
+  request.on_complete(std::move(result));
 }
 
 /// Result of a pattern lookup. `pattern_ids` points into the snapshot's

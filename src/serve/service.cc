@@ -81,7 +81,7 @@ obs::Counter& RebuildFailuresCounter() {
 
 /// Completes a request without executing it: the stays come back
 /// unannotated with `status` saying why (CompleteRequest frees the
-/// admission slot before delivering, future and callback channels alike).
+/// admission slot before delivering).
 void FailRequest(AnnotateRequest& request, Status status) {
   AnnotateResult result;
   result.status = std::move(status);
@@ -121,9 +121,24 @@ ServeService::ServeService(ShardedSnapshotStore* store, shard::ShardPlan plan,
 
 ServeService::~ServeService() { Shutdown(); }
 
-Result<AnnotateRequest> ServeService::AdmitAnnotate(
+Result<std::future<AnnotateResult>> ServeService::Submit(
     std::vector<StayPoint> stays,
     std::chrono::steady_clock::time_point deadline) {
+  // The future-returning API is the callback API with a promise behind
+  // the callback: once admitted, the future resolves either way.
+  auto promise = std::make_shared<std::promise<AnnotateResult>>();
+  std::future<AnnotateResult> future = promise->get_future();
+  CSD_RETURN_NOT_OK(AnnotateStayPointsAsync(
+      std::move(stays), deadline, [promise](AnnotateResult result) {
+        promise->set_value(std::move(result));
+      }));
+  return future;
+}
+
+Status ServeService::AnnotateStayPointsAsync(
+    std::vector<StayPoint> stays,
+    std::chrono::steady_clock::time_point deadline,
+    std::function<void(AnnotateResult)> on_complete) {
   if (store_->current_version() == 0) {
     return Status::FailedPrecondition(
         "no snapshot published yet; trigger a rebuild first");
@@ -143,28 +158,6 @@ Result<AnnotateRequest> ServeService::AdmitAnnotate(
   request.enqueue_time = now;
   request.deadline = deadline;
   request.ticket = std::move(ticket);
-  return request;
-}
-
-Result<std::future<AnnotateResult>> ServeService::Submit(
-    std::vector<StayPoint> stays,
-    std::chrono::steady_clock::time_point deadline) {
-  CSD_ASSIGN_OR_RETURN(AnnotateRequest request,
-                       AdmitAnnotate(std::move(stays), deadline));
-  std::future<AnnotateResult> future = request.promise.get_future();
-  // A false return means the batcher is draining: the request was already
-  // completed with kUnavailable and its slot released, so the future is
-  // still safe to hand back — it resolves either way.
-  batcher_->Enqueue(std::move(request));
-  return future;
-}
-
-Status ServeService::AnnotateStayPointsAsync(
-    std::vector<StayPoint> stays,
-    std::chrono::steady_clock::time_point deadline,
-    std::function<void(AnnotateResult)> on_complete) {
-  CSD_ASSIGN_OR_RETURN(AnnotateRequest request,
-                       AdmitAnnotate(std::move(stays), deadline));
   request.on_complete = std::move(on_complete);
   // Once admitted the callback *will* run exactly once — a drain race
   // completes the request with kUnavailable through the same channel.

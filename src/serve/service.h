@@ -38,7 +38,7 @@ struct ServeOptions {
 ///
 ///   client ──Admit──> RequestBatcher ──batch──> geo-route ──> pool
 ///                │                                              │
-///                ├─global lane──> plan-mode CsdSnapshot     promises
+///                ├─global lane──> plan-mode CsdSnapshot   on_complete
 ///                │                  ──> PublishAll (RCU)
 ///                └─shard lane s──> tile cut ──> lane s's IncrementalTileCsd
 ///                                   ──> adopted CsdSnapshot ──> PublishShard
@@ -165,8 +165,7 @@ class ServeService {
     std::shared_ptr<const ServeDataset> data;
     AdmissionTicket ticket;
     std::promise<RebuildResult> promise;
-    /// Completion channel when set (else the promise), mirroring
-    /// AnnotateRequest::on_complete.
+    /// Completion channel when set (else the promise).
     std::function<void(RebuildResult)> on_complete;
   };
   static constexpr int64_t kGlobalLane = -1;
@@ -193,11 +192,7 @@ class ServeService {
     std::shared_ptr<const PoiDatabase> cut_tile_pois;
   };
 
-  /// Shared front door of both annotate submission flavors: validates,
-  /// consumes an admission slot, stamps the enqueue time.
-  Result<AnnotateRequest> AdmitAnnotate(
-      std::vector<StayPoint> stays,
-      std::chrono::steady_clock::time_point deadline);
+  /// AnnotateStayPointsAsync with a promise behind the callback.
   Result<std::future<AnnotateResult>> Submit(
       std::vector<StayPoint> stays,
       std::chrono::steady_clock::time_point deadline);

@@ -92,12 +92,18 @@ void ThreadPool::EnsureWorkers(size_t target) {
   }
 }
 
-void ThreadPool::Signal() {
+void ThreadPool::Signal(size_t wake) {
   {
     std::lock_guard<std::mutex> lock(park_mutex_);
     ++work_epoch_;
   }
-  park_cv_.notify_all();
+  // Wake only as many parked workers as there are queued chunks to take:
+  // a notify_all would rouse every idle worker for a 2-chunk loop, and
+  // all but one would scan, find nothing and park again. Workers that
+  // are awake (or mid-park, past their epoch read) find the chunks on
+  // their next scan, and the submitter helps until its loop drains, so a
+  // notify that lands on no waiter loses no work.
+  for (size_t i = 0; i < wake; ++i) park_cv_.notify_one();
 }
 
 void ThreadPool::WorkerMain(size_t id) {
@@ -217,19 +223,20 @@ void ThreadPool::ParallelRange(
   PoolLoopsCounter().Increment();
   PoolQueueDepthGauge().Set(static_cast<double>(num_chunks));
 
-  // Initial distribution: round-robin over the first max_threads - 1
-  // worker queues (the submitting thread is the remaining lane). Stealing
-  // rebalances from there.
+  // The submitting thread runs chunk 0 itself; only chunks 1.. are
+  // queued, round-robin over the first max_threads - 1 worker queues.
+  // Stealing rebalances from there.
   size_t fan = std::min(workers, max_threads - 1);
   size_t base = next_queue_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t c = 0; c < num_chunks; ++c) {
+  for (size_t c = 1; c < num_chunks; ++c) {
     size_t begin = c * grain;
     Task task{&loop, begin, std::min(begin + grain, n)};
     WorkerQueue& q = *queues_[(base + c % fan) % workers];
     std::lock_guard<std::mutex> lock(q.mutex);
     q.tasks.push_back(task);
   }
-  Signal();
+  if (num_chunks > 1) Signal(std::min(num_chunks - 1, fan));
+  Execute(Task{&loop, 0, std::min(grain, n)});
 
   // Help until no runnable task is visible (we may execute chunks of
   // other concurrent loops; that only speeds them up).

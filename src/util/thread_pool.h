@@ -22,10 +22,12 @@ namespace csd {
 ///    A worker pops from the front of its own deque; when empty it steals
 ///    the back *half* of a victim's deque, which balances coarse chunks
 ///    without a global queue bottleneck.
-///  - Loops are blocking: the submitting thread distributes chunks, then
-///    helps execute until the loop drains. The first exception thrown by a
-///    chunk cancels the remaining chunks of that loop and is rethrown on
-///    the submitting thread.
+///  - Loops are blocking: the submitting thread queues chunks 1.., wakes
+///    only as many parked workers as those chunks need, runs chunk 0
+///    itself, then helps execute until the loop drains. The first
+///    exception thrown by a chunk (chunk 0 included) cancels the
+///    remaining chunks of that loop and is rethrown on the submitting
+///    thread.
 ///  - Nested parallel loops never spawn new parallelism: any ParallelFor
 ///    issued from inside a running chunk executes inline on the calling
 ///    worker (see InParallelRegion()), so worker count — not
@@ -70,9 +72,10 @@ class ThreadPool {
 
   /// Runs body(begin, end) over [0, n) split into chunks of `grain`
   /// iterations, distributed over at most `max_threads` lanes (the
-  /// submitting thread plus max_threads - 1 workers receive initial
-  /// chunks; idle workers may still steal for load balancing). Blocks
-  /// until every chunk finished; rethrows the first chunk exception.
+  /// submitting thread runs chunk 0, the rest go to max_threads - 1
+  /// worker queues; idle workers may still steal for load balancing).
+  /// Blocks until every chunk finished; rethrows the first chunk
+  /// exception.
   void ParallelRange(size_t n, size_t grain, size_t max_threads,
                      const std::function<void(size_t, size_t)>& body);
 
@@ -112,7 +115,8 @@ class ThreadPool {
   bool TryGetTask(size_t own, Task* out);
   bool StealHalf(size_t own, size_t victim, Task* out);
   static void Execute(const Task& task);
-  void Signal();
+  /// Bumps the work epoch and wakes up to `wake` parked workers.
+  void Signal(size_t wake);
 
   // Queue slots are fixed at construction so queues_[i] stays valid while
   // the pool grows.

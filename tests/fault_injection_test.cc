@@ -28,6 +28,7 @@
 
 #include "io/binary_io.h"
 #include "io/dataset_io.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
 #include "serve/batcher.h"
 #include "serve/frame.h"
@@ -809,7 +810,7 @@ TEST_F(ServeFaultTest, BatchWindowNeverOutlivesTheEarliestDeadline) {
 // --- Batcher shutdown / pause edge cases ---------------------------------
 
 /// Execute callback for direct batcher tests: annotates nothing, just
-/// fulfils every promise OK (the batcher's contract, not the kernel, is
+/// completes every request OK (the batcher's contract, not the kernel, is
 /// under test).
 RequestBatcher::ExecuteFn FulfilAll() {
   return [](std::vector<AnnotateRequest> batch) {
@@ -818,16 +819,24 @@ RequestBatcher::ExecuteFn FulfilAll() {
       result.snapshot_version = 1;
       result.stays = std::move(request.stays);
       result.units.assign(result.stays.size(), kNoUnit);
-      request.ticket.Release();
-      request.promise.set_value(std::move(result));
+      serve::CompleteRequest(request, std::move(result));
     }
   };
 }
 
-AnnotateRequest MakeBatcherRequest() {
+/// A one-stay request whose completion resolves `*future`.
+AnnotateRequest MakeBatcherRequest(
+    std::future<AnnotateResult>* future,
+    std::chrono::steady_clock::time_point deadline = kNoDeadline) {
   AnnotateRequest request;
   request.stays.emplace_back(Vec2{1.0, 2.0}, 0);
   request.enqueue_time = std::chrono::steady_clock::now();
+  request.deadline = deadline;
+  auto promise = std::make_shared<std::promise<AnnotateResult>>();
+  *future = promise->get_future();
+  request.on_complete = [promise](AnnotateResult result) {
+    promise->set_value(std::move(result));
+  };
   return request;
 }
 
@@ -838,9 +847,8 @@ TEST(RequestBatcherTest, EnqueueAfterDrainResolvesWithUnavailable) {
   // Regression: enqueueing after the dispatcher exited used to strand the
   // request in the queue forever. It must be rejected with a resolved
   // promise instead.
-  AnnotateRequest request = MakeBatcherRequest();
-  std::future<AnnotateResult> future = request.promise.get_future();
-  EXPECT_FALSE(batcher.Enqueue(std::move(request)));
+  std::future<AnnotateResult> future;
+  EXPECT_FALSE(batcher.Enqueue(MakeBatcherRequest(&future)));
   ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
             std::future_status::ready)
       << "rejected request must resolve immediately";
@@ -861,9 +869,8 @@ TEST(RequestBatcherTest, EnqueueRacingDrainNeverStrandsARequest) {
     RequestBatcher batcher(policy, FulfilAll());
     std::thread producer([&] {
       for (size_t i = 0; i < kRequests; ++i) {
-        AnnotateRequest request = MakeBatcherRequest();
-        futures.push_back(request.promise.get_future());
-        batcher.Enqueue(std::move(request));
+        futures.emplace_back();
+        batcher.Enqueue(MakeBatcherRequest(&futures.back()));
         if (i % 16 == 0) std::this_thread::yield();
       }
     });
@@ -892,9 +899,8 @@ TEST(RequestBatcherTest, RePauseMidWindowPreservesTheOriginalWindow) {
 
   // t=0: the request opens a 1500 ms window.
   auto start = std::chrono::steady_clock::now();
-  AnnotateRequest request = MakeBatcherRequest();
-  std::future<AnnotateResult> future = request.promise.get_future();
-  ASSERT_TRUE(batcher.Enqueue(std::move(request)));
+  std::future<AnnotateResult> future;
+  ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(&future)));
 
   // Pause at ~100 ms, resume at ~800 ms: with the window preserved the
   // batch still dispatches at ~1500 ms. The old bug restarted the window
@@ -911,6 +917,82 @@ TEST(RequestBatcherTest, RePauseMidWindowPreservesTheOriginalWindow) {
   EXPECT_GE(elapsed, std::chrono::milliseconds(1300))
       << "batch dispatched before its window closed";
   EXPECT_TRUE(future.get().status.ok());
+}
+
+// The batcher wakes its dispatcher only on requests that change what it
+// does. Each wake trigger has a test that hangs on the 30 s window when
+// the trigger goes missing: a full batch closes the window, and an
+// earlier deadline pulls it closed.
+
+TEST(RequestBatcherTest, FullBatchClosesWithoutWaitingOutTheWindow) {
+  serve::BatchPolicy policy;
+  policy.max_batch = 4;
+  policy.max_delay = std::chrono::seconds(30);
+  RequestBatcher batcher(policy, FulfilAll());
+
+  std::vector<std::future<AnnotateResult>> futures(4);
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(&futures[i])));
+  }
+  // Let the dispatcher open the window and sleep on it, so the fourth
+  // request is the one that has to wake it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(&futures[3])));
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "request " << i << " waited out the window of a full batch";
+    EXPECT_TRUE(futures[i].get().status.ok());
+  }
+}
+
+TEST(RequestBatcherTest, EarlierDeadlinePullsAnOpenWindowClosed) {
+  serve::BatchPolicy policy;
+  policy.max_delay = std::chrono::seconds(30);
+  RequestBatcher batcher(policy, FulfilAll());
+
+  std::future<AnnotateResult> patient;
+  ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(&patient)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::future<AnnotateResult> urgent;
+  ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(
+      &urgent,
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(100))));
+  for (std::future<AnnotateResult>* future : {&urgent, &patient}) {
+    ASSERT_EQ(future->wait_for(std::chrono::seconds(5)),
+              std::future_status::ready)
+        << "a 100 ms deadline must pull the 30 s window closed";
+    EXPECT_TRUE(future->get().status.ok());
+  }
+}
+
+TEST(RequestBatcherTest, OneWindowCostsAHandfulOfWakeups) {
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  obs::Counter& wakeups = obs::MetricsRegistry::Get().GetCounter(
+      "csd_serve_batcher_wakeups_total",
+      "Batcher dispatcher returns from a condition wait");
+  serve::BatchPolicy policy;
+  policy.max_delay = std::chrono::milliseconds(200);
+  RequestBatcher batcher(policy, FulfilAll());
+
+  const uint64_t before = wakeups.Value();
+  std::vector<std::future<AnnotateResult>> futures(32);
+  for (std::future<AnnotateResult>& future : futures) {
+    ASSERT_TRUE(batcher.Enqueue(MakeBatcherRequest(&future)));
+    // Spaced out so each request finds the dispatcher asleep on the
+    // window: a per-request wake would show as one wakeup each.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (std::future<AnnotateResult>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    EXPECT_TRUE(future.get().status.ok());
+  }
+  // One wake opens the window and one timeout closes it; the other 31
+  // requests join silently. The slack covers spurious wakeups.
+  EXPECT_LE(wakeups.Value() - before, 4u);
+  obs::SetEnabled(obs_was_enabled);
 }
 
 // --- Admission ticket accounting -----------------------------------------

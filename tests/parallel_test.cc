@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/popularity.h"
 #include "core/semantic_recognition.h"
@@ -204,6 +205,58 @@ TEST(ThreadPoolTest, ManySmallLoopsReuseThePool) {
         512, [&sum](size_t) { sum++; }, {.grain = 32, .max_threads = 4});
     ASSERT_EQ(sum.load(), 512);
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentSubmittersVisitEveryIndexOnce) {
+  // Liveness under targeted wakes: several submitters race small loops of
+  // 2-9 chunks through one pool, so a wake that lands on a busy worker
+  // (or on nobody) must still leave every chunk run exactly once.
+  ThreadPool pool(4);
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kLoops = 300;
+  constexpr size_t kGrain = 8;
+  std::atomic<size_t> misses{0};
+  std::vector<std::thread> submitters;
+  for (size_t s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&pool, &misses, s] {
+      for (size_t loop = 0; loop < kLoops; ++loop) {
+        const size_t chunks = 2 + (loop + s) % 8;
+        const size_t n = chunks * kGrain - loop % kGrain;
+        std::vector<std::atomic<int>> hits(n);
+        pool.ParallelRange(n, kGrain, 5, [&hits](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) hits[i]++;
+        });
+        for (const std::atomic<int>& hit : hits) {
+          if (hit.load() != 1) misses++;
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  EXPECT_EQ(misses.load(), 0u);
+}
+
+TEST(ThreadPoolTest, SubmitterRunsChunkZeroAndRethrowsItsException) {
+  ThreadPool pool(4);
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<bool> chunk0_on_submitter{false};
+  try {
+    pool.ParallelRange(64, 8, 5, [&](size_t begin, size_t) {
+      if (begin != 0) return;
+      chunk0_on_submitter = std::this_thread::get_id() == self;
+      throw std::runtime_error("chunk 0");
+    });
+    FAIL() << "expected throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+  }
+  EXPECT_TRUE(chunk0_on_submitter.load());
+  // The pool stays healthy after the submitter's own chunk threw.
+  std::atomic<size_t> hits{0};
+  pool.ParallelRange(64, 8, 5, [&hits](size_t begin, size_t end) {
+    hits += end - begin;
+  });
+  EXPECT_EQ(hits.load(), 64u);
 }
 
 // --- determinism -------------------------------------------------------------
